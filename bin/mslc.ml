@@ -590,36 +590,17 @@ let experiments_cmd =
   let run trace names =
     setup_trace trace;
     handle_diag (fun () ->
-        let all =
-          [ ("t1", fun () -> Core.Experiments.t1 ());
-            ("t2", fun () -> [ Core.Experiments.t2 () ]);
-            ("t3", fun () -> [ Core.Experiments.t3 () ]);
-            ("t4", fun () -> [ Core.Experiments.t4 () ]);
-            ("t5", fun () -> [ Core.Experiments.t5 () ]);
-            ("t6", fun () -> [ Core.Experiments.t6 () ]);
-            ("t7", fun () -> [ Core.Experiments.t7 () ]);
-            ("t8", fun () -> [ Core.Experiments.t8 () ]);
-            ("f1", fun () -> [ Core.Experiments.f1 () ]);
-            ("f2", fun () -> Core.Experiments.f2 ());
-            ("a1", fun () -> [ Core.Experiments.a1 () ]);
-            ("o1", fun () -> [ Core.Experiments.o1 () ]);
-            ("l1", fun () -> [ Core.Experiments.l1 () ]);
-            ("m1", fun () -> [ Core.Experiments.m1 () ]);
-            ("v1", fun () -> Core.Experiments.v1 ());
-            ("r1", fun () -> [ Core.Experiments.r1 () ]);
-            ("s4", fun () -> [ Core.Experiments.s4 () ]) ]
-        in
         let wanted =
-          if names = [] then List.map fst all
+          if names = [] then List.map fst Core.Experiments.all
           else List.map String.lowercase_ascii names
         in
         List.iter
           (fun n ->
-            match List.assoc_opt n all with
+            match List.assoc_opt n Core.Experiments.all with
             | Some f ->
                 List.iter
                   (fun t -> Msl_util.Tbl.print t; print_newline ())
-                  (Trace.with_span ~cat:"experiment" n f)
+                  (Core.Experiments.table n f)
             | None -> Fmt.epr "unknown experiment %S@." n)
           wanted)
   in

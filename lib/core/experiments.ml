@@ -1373,9 +1373,9 @@ let r1_rows () =
       let latencies =
         List.map
           (fun j ->
-            let t0 = Unix.gettimeofday () in
+            let t0 = Msl_util.Clock.now_s () in
             let o = Service.compile_job ~policy ~faults timed j in
-            let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+            let ms = Msl_util.Clock.elapsed_s t0 *. 1000.0 in
             (o, ms))
           jobs
       in
@@ -1429,146 +1429,18 @@ let r1 () =
     (r1_rows ());
   t
 
-(* -- S4: compiled simulation engine vs the interpreter --------------------------- *)
-
-(* Throughput of the two simulation engines on the survey's kernel pair
-   (the T2/T6 programs), per machine.  Both engines replay the same
-   translation/simulator across runs: the interpreter loop is
-   reset+setup+run, the compiled loop reuses one [Simc.translate] result
-   across resets — which is exactly the replay pattern the engine is
-   for.  Wall-clock based, so the absolute numbers vary by host; the
-   *ratio* is the claim (see BENCH_*.json for the asserted floor). *)
-type s4_row = {
-  s4_kernel : string;
-  s4_machine : string;
-  s4_cycles : int;  (* per run, identical on both engines *)
-  s4_interp_cps : float;  (* cycles per second *)
-  s4_compiled_cps : float;
-  s4_speedup : float;
-}
-
-(* Repeat [f] until [budget_s] seconds have elapsed (at least once);
-   return (runs, elapsed). *)
-let s4_time budget_s f =
-  let t0 = Unix.gettimeofday () in
-  let rec go n =
-    let elapsed = Unix.gettimeofday () -. t0 in
-    if n > 0 && elapsed >= budget_s then (n, elapsed)
-    else (
-      f ();
-      go (n + 1))
-  in
-  go 0
-
-(* The timed workloads are the T2/T6 kernels with scaled-up inputs (the
-   additive multiply loop runs R1 iterations; the dot product runs one
-   inner add per operand unit): tens of thousands of cycles per run, so
-   per-run reset/setup cost is noise and the ratio measures the engines,
-   not the harness. *)
-let s4_dot_x = List.init 256 (fun i -> ((i * 37) mod 97) + 1)
-let s4_dot_y = List.init 256 (fun i -> ((i * 53) mod 89) + 1)
-
-let s4_kernels =
-  [
-    ( "multiply loop (SIMPL)", Toolkit.Simpl, Handcoded.simpl_mpy,
-      [ Machines.hp3; Machines.h1; Machines.b17 ],
-      fun sim ->
-        Sim.set_reg_int sim "R1" 30_000;
-        Sim.set_reg_int sim "R2" 9 );
-    ( "dot product (YALLL)", Toolkit.Yalll, Handcoded.yalll_dot,
-      [ Machines.hp3; Machines.v11; Machines.b17 ],
-      fun sim ->
-        Memory.load_ints (Sim.memory sim) ~base:1024 s4_dot_x;
-        Memory.load_ints (Sim.memory sim) ~base:2048 s4_dot_y;
-        Sim.set_reg_int sim "R1" 1024;
-        Sim.set_reg_int sim "R2" 2048;
-        Sim.set_reg_int sim "R3" (List.length s4_dot_x) );
-  ]
-
-let s4_rows ?(budget_s = 0.05) () =
-  List.concat_map
-    (fun (name, lang, src, machines, setup) ->
-      List.map
-        (fun (d : Desc.t) ->
-          let c = cached_compile lang d src in
-          let sim = Toolkit.load c in
-          (* one reference run pins the per-run cycle count (and proves
-             the kernel halts before we time unbounded repetitions) *)
-          setup sim;
-          (match Sim.run sim with
-          | Sim.Halted -> ()
-          | Sim.Out_of_fuel -> assert false);
-          let cycles = Sim.cycles sim in
-          let engine = Simc.translate sim in
-          let cps f =
-            (* best of three timing windows (the first doubles as
-               warmup): scheduling noise only ever slows a run down, so
-               the max is the honest throughput estimate *)
-            let one () =
-              let runs, elapsed = s4_time budget_s f in
-              float_of_int (runs * cycles) /. elapsed
-            in
-            let a = one () in
-            let b = one () in
-            let c = one () in
-            Float.max a (Float.max b c)
-          in
-          let compiled_cps =
-            cps (fun () ->
-                Sim.reset sim;
-                setup sim;
-                ignore (Simc.run engine))
-          in
-          let interp_cps =
-            cps (fun () ->
-                Sim.reset sim;
-                setup sim;
-                ignore (Sim.run sim))
-          in
-          {
-            s4_kernel = name;
-            s4_machine = d.Desc.d_name;
-            s4_cycles = cycles;
-            s4_interp_cps = interp_cps;
-            s4_compiled_cps = compiled_cps;
-            s4_speedup = compiled_cps /. interp_cps;
-          })
-        machines)
-    s4_kernels
-
-let s4 () =
-  let t =
-    Tbl.make
-      ~title:
-        "S4: simulation engine throughput — compiled closure engine vs \
-         cycle-accurate interpreter (wall-clock; ratios are the claim)"
-      ~aligns:[ Tbl.Left; Tbl.Left; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
-      [ "kernel"; "machine"; "cycles/run"; "interp c/s"; "compiled c/s";
-        "speedup" ]
-  in
-  List.iter
-    (fun r ->
-      Tbl.add_row t
-        [
-          r.s4_kernel; r.s4_machine; Tbl.cell_int r.s4_cycles;
-          Printf.sprintf "%.0f" r.s4_interp_cps;
-          Printf.sprintf "%.0f" r.s4_compiled_cps;
-          Printf.sprintf "%.1fx" r.s4_speedup;
-        ])
-    (s4_rows ());
-  t
-
 (* Each generator runs as an "experiment" span, so a traced regeneration
    shows where the time goes table by table. *)
 let table name f = Msl_util.Trace.with_span ~cat:"experiment" name f
 
-let all_tables () =
-  table "t1" t1
-  @ [
-      table "t2" t2; table "t3" t3; table "t4" t4; table "t5" t5;
-      table "t6" t6; table "t7" t7; table "t8" t8; table "f1" f1;
-    ]
-  @ table "f2" f2
-  @ [ table "a1" a1; table "o1" o1; table "l1" l1; table "m1" m1 ]
-  @ table "v1" v1
-  @ [ table "r1" r1; table "s4" s4 ]
+(* Every experiment, under the name [mslc experiments] takes. *)
+let all : (string * (unit -> Tbl.t list)) list =
+  let one f () = [ f () ] in
+  [
+    ("t1", t1); ("t2", one t2); ("t3", one t3); ("t4", one t4);
+    ("t5", one t5); ("t6", one t6); ("t7", one t7); ("t8", one t8);
+    ("f1", one f1); ("f2", f2); ("a1", one a1); ("o1", one o1);
+    ("l1", one l1); ("m1", one m1); ("v1", v1); ("r1", one r1);
+  ]
+
+let all_tables () = List.concat_map (fun (name, f) -> table name f) all

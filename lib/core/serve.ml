@@ -16,60 +16,6 @@ module Safe_queue = Msl_util.Safe_queue
 module Diag = Msl_util.Diag
 module Pipeline = Msl_mir.Pipeline
 
-(* -- JSONL emission ------------------------------------------------------------- *)
-
-type jfield = string * Trace.json
-
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let rec add_json buf : Trace.json -> unit = function
-  | Trace.J_null -> Buffer.add_string buf "null"
-  | Trace.J_bool b -> Buffer.add_string buf (string_of_bool b)
-  | Trace.J_num f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.0f" f)
-      else Buffer.add_string buf (Printf.sprintf "%g" f)
-  | Trace.J_str s ->
-      Buffer.add_char buf '"';
-      escape buf s;
-      Buffer.add_char buf '"'
-  | Trace.J_arr vs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          add_json buf v)
-        vs;
-      Buffer.add_char buf ']'
-  | Trace.J_obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          escape buf k;
-          Buffer.add_string buf "\":";
-          add_json buf v)
-        fields;
-      Buffer.add_char buf '}'
-
-let json_line fields =
-  let buf = Buffer.create 128 in
-  add_json buf (Trace.J_obj fields);
-  Buffer.contents buf
-
 let request ~op ~id ?language ?machine ?source ?opt ?superopt ?microops ?lint
     ?diff ?validate ?listing ?engine ?fuel () =
   let opt_field name conv = function
@@ -79,7 +25,7 @@ let request ~op ~id ?language ?machine ?source ?opt ?superopt ?microops ?lint
   let s v = Trace.J_str v
   and b v = Trace.J_bool v
   and i v = Trace.J_num (float_of_int v) in
-  json_line
+  Trace.json_line
     ([ ("op", s op); ("id", s id) ]
     @ opt_field "language" s language
     @ opt_field "machine" s machine
@@ -467,7 +413,8 @@ let s v = Trace.J_str v
 let b v = Trace.J_bool v
 let i v = Trace.J_num (float_of_int v)
 
-let error_line id msg = json_line [ ("id", s id); ("ok", b false); ("error", s msg) ]
+let error_line id msg =
+  Trace.json_line [ ("id", s id); ("ok", b false); ("error", s msg) ]
 
 let diag_message (d : Diag.t) =
   Printf.sprintf "%s: %s" (Diag.phase_name d.Diag.phase) d.Diag.message
@@ -475,7 +422,7 @@ let diag_message (d : Diag.t) =
 let stats_line srv id =
   let sv = stats srv in
   let st = Service.stats srv.service in
-  json_line
+  Trace.json_line
     [
       ("id", s id);
       ("ok", b true);
@@ -513,7 +460,7 @@ let execute srv (r : request_parsed) =
         @ if r.r_listing then [ ("listing", s listing) ] else []
       in
       match r.r_kind with
-      | K_compile op -> (json_line (base op), true, o.Service.o_cached)
+      | K_compile op -> (Trace.json_line (base op), true, o.Service.o_cached)
       | K_run { engine; fuel } -> (
           match
             Toolkit.capture (fun () ->
@@ -527,7 +474,7 @@ let execute srv (r : request_parsed) =
                 | Msl_machine.Sim.Halted -> "halted"
                 | Msl_machine.Sim.Out_of_fuel -> "out-of-fuel"
               in
-              ( json_line (base "run" @ [ ("status", s status) ]),
+              ( Trace.json_line (base "run" @ [ ("status", s status) ]),
                 true,
                 o.Service.o_cached )))
 
@@ -666,7 +613,8 @@ let reader_loop srv cl ic =
         | P_shutdown id ->
             if admit_slot srv.sched cl then
               push_inline srv cl
-                (json_line [ ("id", s id); ("ok", b true); ("op", s "shutdown") ])
+                (Trace.json_line
+                   [ ("id", s id); ("ok", b true); ("op", s "shutdown") ])
                 ~ok:true;
             true
         | P_error (id, msg) ->

@@ -103,11 +103,6 @@ end
 
 (** {1 Protocol plumbing shared with [mslc connect]} *)
 
-type jfield = string * Msl_util.Trace.json
-
-val json_line : jfield list -> string
-(** One JSONL line (no newline) for an object with the given fields. *)
-
 val request :
   op:string ->
   id:string ->

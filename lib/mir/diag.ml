@@ -7,6 +7,8 @@
    through the owning MIR block to the source span, plus renderers for
    humans, sexps and JSON. *)
 
+module Trace = Msl_util.Trace
+
 type severity = Error | Warning | Info
 
 let severity_name = function
@@ -68,21 +70,11 @@ let pp_finding ppf f =
       Fmt.pf ppf "%s[%s] %a: %s" (severity_name f.f_severity) f.f_code
         pp_location loc f.f_message
 
-(* Escaping shared by the sexp and JSON emitters: both accept the JSON
-   string escapes for quote, backslash and control characters. *)
+(* The sexp renderer quotes strings with the JSON escapes, which a sexp
+   reader accepts for quote, backslash and control characters. *)
 let escape s =
   let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  Trace.escape b s;
   Buffer.contents b
 
 let location_to_sexp = function
@@ -102,27 +94,6 @@ let finding_to_sexp f =
     (location_to_sexp f.f_loc)
     (escape f.f_message)
 
-let location_to_json = function
-  | L_none -> "null"
-  | L_source l ->
-      Fmt.str "{\"kind\":\"source\",\"at\":\"%s\"}"
-        (escape (Msl_util.Loc.to_string l))
-  | L_block { block; stmt } ->
-      Fmt.str "{\"kind\":\"block\",\"block\":\"%s\",\"stmt\":%s}" (escape block)
-        (match stmt with None -> "null" | Some i -> string_of_int i)
-  | L_word { addr; owner } ->
-      Fmt.str "{\"kind\":\"word\",\"addr\":%d,\"owner\":%s}" addr
-        (match owner with
-        | None -> "null"
-        | Some l -> Fmt.str "\"%s\"" (escape l))
-
-let finding_to_json f =
-  Fmt.str "{\"code\":\"%s\",\"severity\":\"%s\",\"loc\":%s,\"message\":\"%s\"}"
-    (escape f.f_code)
-    (severity_name f.f_severity)
-    (location_to_json f.f_loc)
-    (escape f.f_message)
-
 let report_sexp ~machine fs =
   Fmt.str "(lint (machine %s) (errors %d) (warnings %d) (findings%s))" machine
     (List.length (errors fs))
@@ -130,12 +101,48 @@ let report_sexp ~machine fs =
     (String.concat ""
        (List.map (fun f -> "\n  " ^ finding_to_sexp f) fs))
 
+let num n = Trace.J_num (float_of_int n)
+let opt f = function None -> Trace.J_null | Some v -> f v
+
+let location_json : location -> Trace.json = function
+  | L_none -> J_null
+  | L_source l ->
+      J_obj
+        [ ("kind", J_str "source"); ("at", J_str (Msl_util.Loc.to_string l)) ]
+  | L_block { block; stmt } ->
+      J_obj
+        [
+          ("kind", J_str "block");
+          ("block", J_str block);
+          ("stmt", opt num stmt);
+        ]
+  | L_word { addr; owner } ->
+      J_obj
+        [
+          ("kind", J_str "word");
+          ("addr", num addr);
+          ("owner", opt (fun l -> Trace.J_str l) owner);
+        ]
+
+let finding_fields f =
+  [
+    ("code", Trace.J_str f.f_code);
+    ("severity", J_str (severity_name f.f_severity));
+    ("loc", location_json f.f_loc);
+    ("message", J_str f.f_message);
+  ]
+
+let finding_to_json f = Trace.json_line (finding_fields f)
+
 let report_json ~machine fs =
-  Fmt.str "{\"machine\":\"%s\",\"errors\":%d,\"warnings\":%d,\"findings\":[%s]}"
-    (escape machine)
-    (List.length (errors fs))
-    (List.length (warnings fs))
-    (String.concat "," (List.map finding_to_json fs))
+  Trace.json_line
+    [
+      ("machine", J_str machine);
+      ("errors", num (List.length (errors fs)));
+      ("warnings", num (List.length (warnings fs)));
+      ( "findings",
+        J_arr (List.map (fun f -> Trace.J_obj (finding_fields f)) fs) );
+    ]
 
 (* Compiler errors as findings ---------------------------------------- *)
 

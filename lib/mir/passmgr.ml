@@ -3,8 +3,8 @@
    A pass is a named, self-describing MIR transform with an enable
    predicate; a pipeline is a list of them.  The runner owns the
    cross-cutting concerns every pass would otherwise reimplement:
-   per-pass wall-clock timing (surfaced as `mslc --time-passes` and the
-   bench S2 table) and an observation hook that sees the program after
+   per-pass timing on the monotonic clock (surfaced as `mslc
+   --time-passes` and as `--trace` spans) and an observation hook that sees the program after
    each pass (surfaced as `mslc --dump-after`).  Keeping the pass list a
    value is what lets Pipeline.compile build different middle-ends from
    `options` instead of hard-coding one sequence. *)
@@ -21,7 +21,7 @@ let make ?(enabled = fun _ -> true) ~descr name transform =
 
 type timing = { t_pass : string; t_ms : float }
 
-(* Per-pass wall clock comes from Trace.timed, which doubles as the
+(* Per-pass time comes from Trace.timed, which doubles as the
    span emitter: one measurement feeds both `--time-passes` and the
    `--trace` sink (the timing code the runner used to own privately). *)
 let run ?(observe = fun _ _ -> ()) passes p =

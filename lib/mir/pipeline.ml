@@ -70,7 +70,7 @@ type metrics = {
   m_search_nodes : int;  (* B&B nodes, when the Optimal algo ran *)
   m_inexact_blocks : int;  (* blocks whose B&B search hit the budget *)
   m_superopt : Superopt.stats option;  (* when the superoptimizer ran *)
-  m_timings : Passmgr.timing list;  (* per-pass wall clock, execution order *)
+  m_timings : Passmgr.timing list;  (* per-pass elapsed time, execution order *)
 }
 
 (* A block lowered to concrete microinstructions with labelled targets. *)

@@ -59,7 +59,7 @@ type metrics = {
   m_superopt : Superopt.stats option;
       (** the superoptimizer's counters, when the pass ran *)
   m_timings : Passmgr.timing list;
-      (** wall clock of every executed pass, in execution order, ending
+      (** elapsed time of every executed pass, in execution order, ending
           with the [select+compact] and [link] back-end pseudo-passes *)
 }
 

@@ -3,8 +3,9 @@
     Use this — never [Unix.gettimeofday] — for deadlines, backoff and
     latency/queue-wait measurement: wall time steps (NTP, manual
     clock changes) would make a deadline fire spuriously or never.
-    Wall time remains the right choice only for timestamps that must
-    relate to calendar time, such as a trace file's [t0] epoch. *)
+    Trace timestamps use it too: only their differences are ever read.
+    Wall time is right only for a timestamp that must relate to
+    calendar time. *)
 
 val now_ns : unit -> int64
 (** Nanoseconds from an arbitrary fixed origin.  Strictly ordered with

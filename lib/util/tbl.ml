@@ -1,4 +1,4 @@
-(* Plain-text table rendering for the benchmark harness and the survey
+(* Plain-text table rendering for the experiment tables and the survey
    feature matrix.  Columns are sized to their widest cell; the first row
    is treated as a header and underlined. *)
 
@@ -66,7 +66,7 @@ let render t =
 
 let print t = print_string (render t)
 
-(* Cell formatting helpers used throughout bench/. *)
+(* Cell formatting helpers used throughout the experiment drivers. *)
 let cell_int n = string_of_int n
 let cell_float ?(digits = 2) f = Printf.sprintf "%.*f" digits f
 let cell_ratio ?(digits = 2) a b =

@@ -1,4 +1,4 @@
-(** Plain-text tables for the benchmark harness and reports.
+(** Plain-text tables for the experiment tables and reports.
 
     Columns size themselves to the widest cell; the header row is
     underlined.  Cell helpers format the common numeric kinds. *)

@@ -43,7 +43,7 @@ let install oc owned =
       (match !state with
       | Some _ -> invalid_arg "Trace.enable: tracing is already enabled"
       | None -> ());
-      state := Some { oc; owned; t0 = Unix.gettimeofday (); seq = 0 };
+      state := Some { oc; owned; t0 = Clock.now_s (); seq = 0 };
       Atomic.set flag true)
 
 let disable () =
@@ -85,6 +85,50 @@ let escape buf s =
       | c -> Buffer.add_char buf c)
     s
 
+type json =
+  | J_null
+  | J_bool of bool
+  | J_num of float
+  | J_str of string
+  | J_arr of json list
+  | J_obj of (string * json) list
+
+let rec add_json buf = function
+  | J_null -> Buffer.add_string buf "null"
+  | J_bool b -> Buffer.add_string buf (string_of_bool b)
+  | J_num f ->
+      if Float.is_integer f && Float.abs f < 1e15 then
+        Buffer.add_string buf (Printf.sprintf "%.0f" f)
+      else Buffer.add_string buf (Printf.sprintf "%g" f)
+  | J_str s ->
+      Buffer.add_char buf '"';
+      escape buf s;
+      Buffer.add_char buf '"'
+  | J_arr vs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ',';
+          add_json buf v)
+        vs;
+      Buffer.add_char buf ']'
+  | J_obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_char buf '"';
+          escape buf k;
+          Buffer.add_string buf "\":";
+          add_json buf v)
+        fields;
+      Buffer.add_char buf '}'
+
+let json_line fields =
+  let buf = Buffer.create 128 in
+  add_json buf (J_obj fields);
+  Buffer.contents buf
+
 let add_arg buf (k, v) =
   Buffer.add_char buf '"';
   escape buf k;
@@ -100,7 +144,7 @@ let add_arg buf (k, v) =
 
 (* One event line.  Called with the lock held. *)
 let emit_locked s ~ph ~cat ~name ~args =
-  let ts = (Unix.gettimeofday () -. s.t0) *. 1e6 in
+  let ts = (Clock.now_s () -. s.t0) *. 1e6 in
   let tid = (Domain.self () :> int) in
   s.seq <- s.seq + 1;
   let buf = Buffer.create 128 in
@@ -149,12 +193,12 @@ let with_span ?(args = []) ~cat name f =
 let timed ?(args = []) ~cat name f =
   let tracing = Atomic.get flag in
   if tracing then emit ~ph:"B" ~cat ~name ~args;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_s () in
   let finally () =
     if tracing then emit ~ph:"E" ~cat ~name ~args:[]
   in
   let v = Fun.protect ~finally f in
-  (v, (Unix.gettimeofday () -. t0) *. 1000.)
+  (v, Clock.elapsed_s t0 *. 1000.)
 
 let counter ~cat name v =
   if Atomic.get flag then emit ~ph:"C" ~cat ~name ~args:[ ("value", A_int v) ]
@@ -163,14 +207,6 @@ let instant ?(args = []) ~cat name =
   if Atomic.get flag then emit ~ph:"i" ~cat ~name ~args
 
 (* -- reading traces back --------------------------------------------------- *)
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_arr of json list
-  | J_obj of (string * json) list
 
 exception Bad of string
 

@@ -1,7 +1,7 @@
 (** Process-wide tracing and metrics.
 
     One global, mutex-protected facility shared by every layer of the
-    toolkit: spans (begin/end pairs with wall-clock timestamps),
+    toolkit: spans (begin/end pairs with {!Clock} timestamps),
     monotone counters, and instant events, written as Chrome-trace
     events in JSONL form (one JSON object per line; loadable by
     Perfetto / chrome://tracing, which accept the array format without
@@ -52,7 +52,7 @@ val with_span :
 
 val timed :
   ?args:(string * arg) list -> cat:string -> string -> (unit -> 'a) -> 'a * float
-(** Like {!with_span} but also return the elapsed wall-clock
+(** Like {!with_span} but also return the elapsed {!Clock}
     milliseconds, measured whether or not tracing is enabled (the pass
     manager's timing lists are built from this). *)
 
@@ -65,10 +65,10 @@ val instant : ?args:(string * arg) list -> cat:string -> string -> unit
 (** A point event: something happened (a microtrap, an eviction, a
     budget exhaustion). *)
 
-(** {1 Reading traces back}
+(** {1 JSON}
 
-    The toolkit parses its own output (for [mslc stats] and the test
-    suite); an independent ~30-line checker lives in [test/check_trace.ml]. *)
+    The toolkit's one JSON writer and parser: trace events, the [mslc
+    serve] protocol and Microlint's JSON reports all go through them. *)
 
 (** A minimal JSON value (what trace events need, not all of JSON). *)
 type json =
@@ -79,8 +79,21 @@ type json =
   | J_arr of json list
   | J_obj of (string * json) list
 
+val escape : Buffer.t -> string -> unit
+(** Append a string's contents with JSON escapes for quote, backslash
+    and control characters (no surrounding quotes). *)
+
+val json_line : (string * json) list -> string
+(** One JSON object with the given fields, on one line, no newline;
+    integral numbers print without a fraction. *)
+
 val parse_json : string -> (json, string) result
 (** Parse one complete JSON value (rejecting trailing garbage). *)
+
+(** {1 Reading traces back}
+
+    The toolkit parses its own output (for [mslc stats] and the test
+    suite); an independent ~30-line checker lives in [test/check_trace.ml]. *)
 
 type event = {
   ev_seq : int;  (** global emission order, strictly increasing *)

@@ -1,6 +1,7 @@
 (* An independent sanity checker for mslc --trace output, on purpose not
    using the toolkit's own parser: one JSON object per line, "seq"
-   strictly increasing, "ph" one of B/E/C/i, and B/E balanced per tid.
+   strictly increasing, "ts" never decreasing in "seq" order, "ph" one
+   of B/E/C/i, and B/E balanced per tid.
    Silent and exit 0 when the trace is sane; a message and exit 1
    otherwise. *)
 
@@ -19,17 +20,24 @@ let after_key lno line key =
   in
   find 0
 
-let int_field lno line key =
+(* The numeric literal just past ["key":], converted by [conv]. *)
+let num_field conv what lno line key =
   let i = after_key lno line key in
   let j = ref i in
   while
     !j < String.length line
-    && (match line.[!j] with '0' .. '9' | '-' -> true | _ -> false)
+    && (match line.[!j] with
+       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+       | _ -> false)
   do
     incr j
   done;
-  if !j = i then fail lno (key ^ " is not an integer");
-  int_of_string (String.sub line i (!j - i))
+  match conv (String.sub line i (!j - i)) with
+  | Some v -> v
+  | None -> fail lno (key ^ " is not " ^ what)
+
+let int_field = num_field int_of_string_opt "an integer"
+let float_field = num_field float_of_string_opt "a number"
 
 (* The one-character string value of ["ph":"X"]. *)
 let ph_field lno line =
@@ -42,7 +50,7 @@ let () =
   if Array.length Sys.argv < 2 then fail 0 "usage: check_trace FILE";
   let ic = open_in Sys.argv.(1) in
   let depth = Hashtbl.create 8 in
-  let last_seq = ref 0 and lno = ref 0 in
+  let last_seq = ref 0 and last_ts = ref neg_infinity and lno = ref 0 in
   (try
      while true do
        let line = input_line ic in
@@ -53,6 +61,9 @@ let () =
          let seq = int_field !lno line "seq" in
          if seq <= !last_seq then fail !lno "seq not strictly increasing";
          last_seq := seq;
+         let ts = float_field !lno line "ts" in
+         if ts < !last_ts then fail !lno "ts decreases";
+         last_ts := ts;
          let tid = int_field !lno line "tid" in
          let d = try Hashtbl.find depth tid with Not_found -> 0 in
          match ph_field !lno line with

@@ -701,6 +701,32 @@ let test_manifest_end_to_end () =
   Alcotest.(check bool) "duplicate line hits even when cold" true
     out.(3).Service.o_cached
 
+(* the checked-in manifest is the CI gates' corpus: every example program,
+   at default options, on every machine its language targets *)
+let test_manifest_covers_examples () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let js =
+    Service.parse_manifest
+      ~load:(fun p -> read (Filename.concat ".." p))
+      (read "../examples/batch.manifest")
+  in
+  let default = Pipeline.options_id Pipeline.default_options in
+  List.iter
+    (fun (file, language, source) ->
+      List.iter
+        (fun (d : Desc.t) ->
+          if
+            not
+              (List.exists
+                 (fun (j : Service.job) ->
+                   j.j_language = language && j.j_machine = d.Desc.d_name
+                   && j.j_source = source && (not j.j_use_microops)
+                   && Pipeline.options_id j.j_options = default)
+                 js)
+          then Alcotest.failf "batch.manifest lacks %s on %s" file d.Desc.d_name)
+        (Core.Experiments.v1_machines language))
+    (Core.Experiments.v1_examples ())
+
 (* -- the serve daemon ------------------------------------------------------- *)
 
 module Serve = Msl_core.Serve
@@ -903,11 +929,11 @@ let test_serve_protocol_errors () =
       Serve.Client.send_line conn "this is not json";
       expect_error "malformed JSON";
       Serve.Client.send_line conn
-        (Serve.json_line
+        (Trace.json_line
            [ ("op", Trace.J_str "frobnicate"); ("id", Trace.J_str "x") ]);
       expect_error "unknown op";
       Serve.Client.send_line conn
-        (Serve.json_line
+        (Trace.json_line
            [ ("op", Trace.J_str "compile"); ("id", Trace.J_str "nosrc") ]);
       expect_error "compile without source";
       (* the same connection still serves real work *)
@@ -1011,6 +1037,8 @@ let () =
           Alcotest.test_case "parse" `Quick test_manifest_parse;
           Alcotest.test_case "malformed lines" `Quick test_manifest_errors;
           Alcotest.test_case "end to end" `Quick test_manifest_end_to_end;
+          Alcotest.test_case "covers every example" `Quick
+            test_manifest_covers_examples;
         ] );
       ( "serve",
         [
