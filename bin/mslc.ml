@@ -28,12 +28,7 @@ module Diag = Msl_util.Diag
 module Trace = Msl_util.Trace
 module Core = Msl_core
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Every compiler failure prints as a structured, source-located finding
    and exits 2: exit 1 is reserved for "the program was processed and the
@@ -300,21 +295,12 @@ let compile_cmd =
     handle_diag (fun () ->
         let d = resolve_machine machine machine_file in
         let tv_inject = Option.map miscompile_of_spec tv_inject in
-        let artifacts = ref [] in
-        let capture =
-          if validate then Some (fun a -> artifacts := a :: !artifacts)
-          else None
-        in
-        let rewrites = ref [] in
-        let superopt_capture =
-          if validate then Some (fun rw -> rewrites := rw :: !rewrites)
-          else None
-        in
-        let c =
-          Core.Toolkit.compile
+        (* the capture is a few words per block: take it whether or
+           not --validate will prove it *)
+        let c, proof =
+          Core.Toolkit.compile_for_proof
             ~options:(options_of ~superopt opt algo bb_budget)
-            ?observe:(observe_of_dumps dumps) ?capture ?superopt_capture lang
-            d (read_file file)
+            ?observe:(observe_of_dumps dumps) lang d (read_file file)
         in
         warn_inexact c;
         print_string (Masm.print d c.Core.Toolkit.c_insts);
@@ -331,15 +317,8 @@ let compile_cmd =
           if r.Msl_mir.Tv.v_refuted > 0 then failed := true
         in
         if validate then begin
-          (* the artifacts prove compaction against selection; each
-             superopt rewrite then carries its own proof — replay both
-             halves and the composition covers the emitted program *)
-          report (Msl_mir.Tv.validate_artifacts d (List.rev !artifacts));
-          let bad =
-            List.filter
-              (fun rw -> Msl_mir.Superopt.replay d rw <> Msl_mir.Tv.Validated)
-              (List.rev !rewrites)
-          in
+          let r, bad = Core.Toolkit.prove d proof in
+          report r;
           List.iter
             (fun (rw : Msl_mir.Superopt.rewrite) ->
               failed := true;
@@ -349,9 +328,9 @@ let compile_cmd =
                 rw.Msl_mir.Superopt.rw_label
                 (Msl_mir.Superopt.kind_name rw.Msl_mir.Superopt.rw_kind))
             bad;
-          if !rewrites <> [] && bad = [] then
-            Fmt.pr "; superopt: %d rewrites replayed, all proved@."
-              (List.length !rewrites)
+          let n = List.length proof.Core.Toolkit.p_rewrites in
+          if n > 0 && bad = [] then
+            Fmt.pr "; superopt: %d rewrites replayed, all proved@." n
         end;
         (match tv_inject with
         | None -> ()

@@ -1006,12 +1006,8 @@ let m1_rows ?(n = m1_default_machines) () =
       in
       (* fresh compiles: generated machines must not pollute (or be
          served by) the shared experiment cache *)
-      let artifacts = ref [] in
-      let c =
-        Toolkit.compile ~capture:(fun a -> artifacts := a :: !artifacts)
-          Toolkit.Yalll d psrc
-      in
-      let tv = Tv.validate_artifacts d (List.rev !artifacts) in
+      let c, proof = Toolkit.compile_for_proof Toolkit.Yalll d psrc in
+      let tv, _ = Toolkit.prove d proof in
       let lint =
         List.length
           (Msl_mir.Diag.errors
@@ -1111,12 +1107,7 @@ type v1_mutant_row = {
    run from the repo root); a generated YALLL corpus keeps the experiment
    meaningful when it is not. *)
 let v1_examples () =
-  let read path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
   let dir =
     List.find_opt
       (fun d -> Sys.file_exists d && Sys.is_directory d)
@@ -1161,29 +1152,28 @@ let v1_honest_rows () =
             (fun (d : Desc.t) ->
               List.map
                 (fun (opt, options) ->
-                  let blocks = ref 0 and proved = ref 0 and dyn = ref 0 in
-                  let refuted = ref 0 and unknown = ref 0 in
-                  List.iter
-                    (fun (_, _, src) ->
-                      let artifacts = ref [] in
-                      (* fresh compiles: only the capture hook sees the
-                         pre-compaction schedules *)
-                      ignore
-                        (Toolkit.compile ~options
-                           ~capture:(fun a -> artifacts := a :: !artifacts)
-                           lang d src);
-                      let r = Tv.validate_artifacts d (List.rev !artifacts) in
-                      blocks := !blocks + r.Tv.v_total;
-                      proved := !proved + (r.Tv.v_validated - r.Tv.v_dynamic);
-                      dyn := !dyn + r.Tv.v_dynamic;
-                      refuted := !refuted + r.Tv.v_refuted;
-                      unknown := !unknown + r.Tv.v_unknown)
-                    programs;
+                  (* fresh compiles: only the capture hook sees the
+                     pre-compaction schedules *)
+                  let results =
+                    List.map
+                      (fun (_, _, src) ->
+                        let _, proof =
+                          Toolkit.compile_for_proof ~options lang d src
+                        in
+                        fst (Toolkit.prove d proof))
+                      programs
+                  in
+                  let sum f =
+                    List.fold_left (fun acc r -> acc + f r) 0 results
+                  in
                   { v1h_language = lang; v1h_machine = d.Desc.d_name;
                     v1h_opt = opt; v1h_programs = List.length programs;
-                    v1h_blocks = !blocks; v1h_proved = !proved;
-                    v1h_dynamic = !dyn; v1h_refuted = !refuted;
-                    v1h_unknown = !unknown })
+                    v1h_blocks = sum (fun r -> r.Tv.v_total);
+                    v1h_proved =
+                      sum (fun r -> r.Tv.v_validated - r.Tv.v_dynamic);
+                    v1h_dynamic = sum (fun r -> r.Tv.v_dynamic);
+                    v1h_refuted = sum (fun r -> r.Tv.v_refuted);
+                    v1h_unknown = sum (fun r -> r.Tv.v_unknown) })
                 [ (0, o0); (1, Pipeline.default_options) ])
             (v1_machines lang))
       [ Toolkit.Yalll; Toolkit.Simpl; Toolkit.Empl ]

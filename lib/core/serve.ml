@@ -132,6 +132,8 @@ let parse_request ~seq line =
               in
               let kind =
                 if op = "run" then
+                  let fuel = int_field ~default:2_000_000 "fuel" fields in
+                  if fuel <= 0 then fail "fuel must be positive";
                   K_run
                     {
                       engine =
@@ -139,7 +141,7 @@ let parse_request ~seq line =
                            Toolkit.engine_of_string
                              (str_field ~default:"compiled" "engine" fields)
                          with Invalid_argument m -> fail "%s" m);
-                      fuel = int_field ~default:2_000_000 "fuel" fields;
+                      fuel;
                     }
                 else K_compile op
               in

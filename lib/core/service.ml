@@ -5,6 +5,8 @@ open Msl_machine
 module Pipeline = Msl_mir.Pipeline
 module Compaction = Msl_mir.Compaction
 module Regalloc = Msl_mir.Regalloc
+module Superopt = Msl_mir.Superopt
+module Tv = Msl_mir.Tv
 module Diag = Msl_util.Diag
 module Fingerprint = Msl_util.Fingerprint
 module Safe_queue = Msl_util.Safe_queue
@@ -279,54 +281,67 @@ let disk_header ~opts_id =
 
 let disk_file dir key = Filename.concat dir (Digest.to_hex key ^ ".mslc")
 
-(* Corruption-tolerant by construction: any failure — missing file, bad
-   header, truncated or garbage payload — is a miss and the job simply
-   recompiles (the fresh result then overwrites the bad file). *)
+(* Every file the service publishes — cache entries and superopt memo
+   values — is one header line and a payload.  Writes go to a tmp file
+   in the same directory, published with [Sys.rename]; [publish] says
+   whether the rename happened.  Reads are corruption-tolerant by
+   construction: any failure — missing file, bad header, truncated or
+   garbage payload — is [None], a miss, and the fresh result then
+   overwrites the bad file. *)
+let publish path header write =
+  let tmp =
+    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) (Domain.self () :> int)
+  in
+  match open_out_bin tmp with
+  | exception Sys_error _ -> false  (* read-only/vanished dir: keep serving *)
+  | oc ->
+      let written =
+        try
+          output_string oc header;
+          output_char oc '\n';
+          write oc;
+          true
+        with _ -> false
+      in
+      close_out_noerr oc;
+      let published =
+        written
+        &&
+        try
+          Sys.rename tmp path;
+          true
+        with Sys_error _ -> false
+      in
+      if not published then (try Sys.remove tmp with Sys_error _ -> ());
+      published
+
+let read_published path header read =
+  match open_in_bin path with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          try if input_line ic <> header then None else Some (read ic)
+          with _ -> None)
+
 let disk_load t ~opts_id key =
-  match t.disk with
-  | None -> None
-  | Some dir -> (
-      match open_in_bin (disk_file dir key) with
-      | exception Sys_error _ -> None
-      | ic ->
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () ->
-              try
-                if input_line ic <> disk_header ~opts_id then None
-                else Some (Marshal.from_channel ic : entry)
-              with _ -> None))
+  Option.bind t.disk (fun dir ->
+      read_published (disk_file dir key) (disk_header ~opts_id) (fun ic ->
+          (Marshal.from_channel ic : entry)))
 
 let disk_store t ~opts_id key e =
   match t.disk with
   | None -> ()
-  | Some dir -> (
-      let path = disk_file dir key in
-      let tmp =
-        Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-          (Domain.self () :> int)
-      in
-      match open_out_bin tmp with
-      | exception Sys_error _ -> ()  (* read-only/vanished dir: keep serving *)
-      | oc ->
-          let written =
-            try
-              output_string oc (disk_header ~opts_id);
-              output_char oc '\n';
-              Marshal.to_channel oc e [];
-              true
-            with _ -> false
-          in
-          close_out_noerr oc;
-          if written then (
-            try
-              Sys.rename tmp path;
-              locked t (fun () ->
-                  t.disk_stores <- t.disk_stores + 1;
-                  if Trace.enabled () then
-                    Trace.counter ~cat:"service" "disk_stores" t.disk_stores)
-            with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ()))
-          else try Sys.remove tmp with Sys_error _ -> ())
+  | Some dir ->
+      if
+        publish (disk_file dir key) (disk_header ~opts_id) (fun oc ->
+            Marshal.to_channel oc e [])
+      then
+        locked t (fun () ->
+            t.disk_stores <- t.disk_stores + 1;
+            if Trace.enabled () then
+              Trace.counter ~cat:"service" "disk_stores" t.disk_stores)
 
 (* The superoptimizer's window-search memo shares the cache directory:
    one small file per window digest (the key is already a hex digest —
@@ -339,49 +354,21 @@ let superopt_header =
   Printf.sprintf "msl-superopt %d %s" disk_format_version Sys.ocaml_version
 
 let superopt_memo t =
-  match t.disk with
-  | None -> None
-  | Some dir ->
+  Option.map
+    (fun dir ->
       let file key = Filename.concat dir (key ^ ".msso") in
-      let memo_find key =
-        match open_in_bin (file key) with
-        | exception Sys_error _ -> None
-        | ic ->
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () ->
-                try
-                  if input_line ic <> superopt_header then None
-                  else
-                    Some
-                      (really_input_string ic
-                         (in_channel_length ic - pos_in ic))
-                with _ -> None)
-      in
-      let memo_add key v =
-        let path = file key in
-        let tmp =
-          Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-            (Domain.self () :> int)
-        in
-        match open_out_bin tmp with
-        | exception Sys_error _ -> ()
-        | oc ->
-            let written =
-              try
-                output_string oc superopt_header;
-                output_char oc '\n';
-                output_string oc v;
-                true
-              with _ -> false
-            in
-            close_out_noerr oc;
-            if written then (
-              try Sys.rename tmp path
-              with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ()))
-            else try Sys.remove tmp with Sys_error _ -> ()
-      in
-      Some { Msl_mir.Superopt.memo_find; memo_add }
+      {
+        Superopt.memo_find =
+          (fun key ->
+            read_published (file key) superopt_header (fun ic ->
+                really_input_string ic (in_channel_length ic - pos_in ic)));
+        memo_add =
+          (fun key v ->
+            ignore
+              (publish (file key) superopt_header (fun oc ->
+                   output_string oc v)));
+      })
+    t.disk
 
 (* -- the cache proper ----------------------------------------------------------- *)
 
@@ -491,19 +478,33 @@ let inject faults key attempt =
 
 (* -- compiling one job ----------------------------------------------------------- *)
 
+(* Whether the validate gate has anything to prove: S* bypasses
+   compaction, so its programs carry no proof inputs. *)
+let proves (j : job) = j.j_validate && j.j_language <> Toolkit.Sstar
+
+let compile_for_proof ?superopt_memo (j : job) d =
+  Toolkit.compile_for_proof ?superopt_memo ~options:j.j_options
+    ~use_microops:j.j_use_microops j.j_language d j.j_source
+
 (* Raises: a structured [Diag.Error] on any front- or back-end failure,
    and possibly anything at all on a pathological job — the caller's
-   firewall sorts the two apart. *)
+   firewall sorts the two apart.  A job the validate gate will prove
+   captures its proof inputs here, in the one compile a miss does. *)
 let compile_raw ?superopt_memo (j : job) =
   let d =
     try Machines.get j.j_machine
     with Invalid_argument msg -> Diag.error Diag.Semantic "%s" msg
   in
-  let c =
-    Toolkit.compile ?superopt_memo ~options:j.j_options
-      ~use_microops:j.j_use_microops j.j_language d j.j_source
+  let c, proof =
+    if proves j then
+      let c, p = compile_for_proof ?superopt_memo j d in
+      (c, Some p)
+    else
+      ( Toolkit.compile ?superopt_memo ~options:j.j_options
+          ~use_microops:j.j_use_microops j.j_language d j.j_source,
+        None )
   in
-  (c, Masm.print d c.Toolkit.c_insts)
+  ({ e_compiled = c; e_listing = Masm.print d c.Toolkit.c_insts }, proof)
 
 (* One attempt behind the exception firewall.  A structured diagnostic
    is deterministic — the same source fails the same way every time — so
@@ -511,15 +512,15 @@ let compile_raw ?superopt_memo (j : job) =
    internal fault (a worker crash, an injected raise) and is fair game
    for a retry. *)
 type attempt =
-  | A_ok of entry
+  | A_ok of entry * Toolkit.proof_inputs option
   | A_diag of Diag.t  (* deterministic compile failure *)
   | A_crash of Diag.t  (* unexpected raise, converted; retryable *)
 
 let one_attempt ?superopt_memo ~faults j key n =
   try
     inject faults key n;
-    let c, listing = compile_raw ?superopt_memo j in
-    A_ok { e_compiled = c; e_listing = listing }
+    let e, proof = compile_raw ?superopt_memo j in
+    A_ok (e, proof)
   with
   | Diag.Error d -> A_diag d
   | Injected_fault msg ->
@@ -573,12 +574,12 @@ let compile_uncached t ~policy ~faults ~opts_id (j : job) key =
   in
   let rec go attempt =
     match one_attempt ?superopt_memo:(superopt_memo t) ~faults j key attempt with
-    | A_ok e -> (
+    | A_ok (e, proof) -> (
         match overrun () with
         | Some over -> Error (deadline_diag over attempt)
         | None ->
             insert t ~opts_id key e;
-            Ok e)
+            Ok (e, proof))
     | A_diag d -> Error d
     | A_crash d -> (
         locked t (fun () -> t.internal <- t.internal + 1);
@@ -616,6 +617,11 @@ let compile_uncached t ~policy ~faults ~opts_id (j : job) key =
    compile it audits.  Only the machine-level analyses apply here: the
    MIR checks need the pre-pass program, which cached entries do not
    carry. *)
+(* A gate's message names its first failure and counts the rest. *)
+let and_more = function
+  | [] -> ""
+  | rest -> Printf.sprintf " (+%d more)" (List.length rest)
+
 let lint_gate (c : Toolkit.compiled) =
   let findings =
     Msl_mir.Lint.validate_machine ~labels:c.Toolkit.c_labels
@@ -625,10 +631,7 @@ let lint_gate (c : Toolkit.compiled) =
   | [] -> None
   | first :: rest ->
       let message =
-        Fmt.str "%a%s" Msl_mir.Diag.pp_finding first
-          (match rest with
-          | [] -> ""
-          | _ -> Printf.sprintf " (+%d more)" (List.length rest))
+        Fmt.str "%a%s" Msl_mir.Diag.pp_finding first (and_more rest)
       in
       Some { Diag.phase = Diag.Lint; loc = Msl_util.Loc.dummy; message }
 
@@ -684,86 +687,61 @@ let diff_gate (c : Toolkit.compiled) =
 
 (* The translation-validation gate.  Like the others it runs outside the
    cache (j_validate is not in the key); unlike them it cannot work from
-   the cached compilation alone — the validator consumes the per-block
-   artifacts the pipeline captures during lowering, which cached entries
-   do not carry — so the gate recompiles with capture enabled (the
-   compile it repeats is the cost of the proof, and only gated jobs pay
-   it).  S* programs bypass compaction entirely: nothing to validate,
-   the gate passes.  Strict on purpose: REFUTED and UNKNOWN both fail,
-   so a clean gated batch certifies that every block was proved (or
-   dynamically revalidated), not merely that none was refuted. *)
-let validate_gate (j : job) (c : Toolkit.compiled) =
-  match j.j_language with
-  | Toolkit.Sstar -> None
-  | _ -> (
-      match
-        Toolkit.capture (fun () ->
-            let artifacts = ref [] in
-            let rewrites = ref [] in
-            ignore
-              (Toolkit.compile ~options:j.j_options
-                 ~use_microops:j.j_use_microops
-                 ~capture:(fun a -> artifacts := a :: !artifacts)
-                 ~superopt_capture:(fun rw -> rewrites := rw :: !rewrites)
-                 j.j_language c.Toolkit.c_machine j.j_source);
-            (* two proof halves: each block's compaction against its
-               selection, then every superopt rewrite against the words
-               it replaced — together they cover the emitted program *)
-            ( Msl_mir.Tv.validate_artifacts c.Toolkit.c_machine
-                (List.rev !artifacts),
-              List.filter
-                (fun rw ->
-                  Msl_mir.Superopt.replay c.Toolkit.c_machine rw
-                  <> Msl_mir.Tv.Validated)
-                (List.rev !rewrites) ))
-      with
-      | Error d -> Some d
-      | Ok (r, (bad_rw : Msl_mir.Superopt.rewrite list)) ->
-          if
-            r.Msl_mir.Tv.v_refuted = 0
-            && r.Msl_mir.Tv.v_unknown = 0
-            && bad_rw = []
-          then None
-          else
-            let message =
-              match (bad_rw, r.Msl_mir.Tv.v_findings) with
-              | rw :: rest, _ ->
-                  Printf.sprintf
-                    "superopt rewrite in block %s (%s) did not replay \
-                     Validated%s"
-                    rw.Msl_mir.Superopt.rw_label
-                    (Msl_mir.Superopt.kind_name rw.Msl_mir.Superopt.rw_kind)
-                    (match rest with
-                    | [] -> ""
-                    | _ -> Printf.sprintf " (+%d more)" (List.length rest))
-              | [], [] -> Fmt.str "%a" Msl_mir.Tv.pp_summary r
-              | [], first :: rest ->
-                  Fmt.str "%a%s" Msl_mir.Diag.pp_finding first
-                    (match rest with
-                    | [] -> ""
-                    | _ -> Printf.sprintf " (+%d more)" (List.length rest))
-            in
-            Some
-              {
-                Diag.phase = Diag.Verification;
-                loc = Msl_util.Loc.dummy;
-                message;
-              })
+   the compiled program alone — the validator consumes the per-block
+   artifacts and superopt rewrites the pipeline captures while it
+   compiles.  A miss brings the [proof] its own compile captured, kept
+   beside the entry and never cached; a hit has none, so the gate
+   recompiles to capture one.  S* programs bypass compaction entirely:
+   nothing to validate, the gate passes.  Strict on purpose: REFUTED and
+   UNKNOWN both fail, so a clean gated batch certifies that every block
+   was proved (or dynamically revalidated), not merely that none was
+   refuted. *)
+let validate_gate (j : job) proof (c : Toolkit.compiled) =
+  if not (proves j) then None
+  else
+    let d = c.Toolkit.c_machine in
+    match
+      Toolkit.capture (fun () ->
+          Toolkit.prove d
+            (match proof with
+            | Some p -> p
+            | None -> snd (compile_for_proof j d)))
+    with
+    | Error d -> Some d
+    | Ok (r, bad_rw) ->
+        if r.Tv.v_refuted = 0 && r.Tv.v_unknown = 0 && bad_rw = [] then None
+        else
+          let message =
+            match (bad_rw, r.Tv.v_findings) with
+            | rw :: rest, _ ->
+                Printf.sprintf
+                  "superopt rewrite in block %s (%s) did not replay \
+                   Validated%s"
+                  rw.Superopt.rw_label
+                  (Superopt.kind_name rw.Superopt.rw_kind)
+                  (and_more rest)
+            | [], [] -> Fmt.str "%a" Tv.pp_summary r
+            | [], first :: rest ->
+                Fmt.str "%a%s" Msl_mir.Diag.pp_finding first (and_more rest)
+          in
+          Some
+            { Diag.phase = Diag.Verification; loc = Msl_util.Loc.dummy; message }
 
 let compile_job ?(policy = default_policy) ?(faults = no_faults) t (j : job) =
   let key = (cache_key j :> string) in
   let opts_id = options_id j.j_options in
-  let outcome =
+  let served ~cached e =
+    { o_job = j; o_result = Ok (e.e_compiled, e.e_listing); o_cached = cached }
+  in
+  let outcome, proof =
     match probe t ~opts_id key with
-    | Some e ->
-        { o_job = j; o_result = Ok (e.e_compiled, e.e_listing); o_cached = true }
+    | Some e -> (served ~cached:true e, None)
     | None -> (
         match compile_uncached t ~policy ~faults ~opts_id j key with
-        | Ok e ->
-            { o_job = j; o_result = Ok (e.e_compiled, e.e_listing); o_cached = false }
+        | Ok (e, proof) -> (served ~cached:false e, proof)
         | Error d ->
             note_error t;
-            { o_job = j; o_result = Error d; o_cached = false })
+            ({ o_job = j; o_result = Error d; o_cached = false }, None))
   in
   (* the post-compile gates compose: lint first (static resources), then
      translation validation (static semantics), then the engine
@@ -782,7 +760,7 @@ let compile_job ?(policy = default_policy) ?(faults = no_faults) t (j : job) =
   in
   outcome
   |> apply_gate j.j_lint lint_gate
-  |> apply_gate j.j_validate (validate_gate j)
+  |> apply_gate j.j_validate (validate_gate j proof)
   |> apply_gate j.j_diff diff_gate
 
 (* -- the worker pool -------------------------------------------------------------- *)

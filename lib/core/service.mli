@@ -40,13 +40,15 @@ type job = {
           [j_lint], runs outside the cache and is not part of the
           key. *)
   j_validate : bool;
-      (** post-compile gate: recompile with the pipeline's capture hook
-          and run the translation validator ({!Msl_mir.Tv}) over every
-          block, failing the job on any REFUTED {e or} UNKNOWN verdict —
-          a clean gated batch certifies each block was proved equivalent
-          to its pre-compaction schedule.  No-op for S* (no compaction).
-          Like the other gates, runs outside the cache and is not part
-          of the key. *)
+      (** post-compile gate: run the translation validator
+          ({!Msl_mir.Tv}) over every block and replay every superopt
+          rewrite ({!Toolkit.prove}), failing the job on any REFUTED
+          {e or} UNKNOWN verdict — a clean gated batch certifies each
+          block was proved equivalent to its pre-compaction schedule.
+          A miss is proved from the inputs its own compile captured
+          ({!Toolkit.compile_for_proof}); a hit recompiles once to
+          capture them.  No-op for S* (no compaction).  Like the other
+          gates, runs outside the cache and is not part of the key. *)
 }
 
 type outcome = {

@@ -104,7 +104,9 @@ let of_insts ?(timings = []) ?(inexact_blocks = 0) ?superopt language d insts
     c_timings = timings;
   }
 
-let compile ?options ?use_microops ?observe ?capture:capture_blocks
+(* The one compile behind both entry points: [compile] runs it with the
+   capture hooks off, [compile_for_proof] with both on. *)
+let compile_hooked ?options ?use_microops ?observe ?capture:capture_blocks
     ?superopt_memo ?superopt_capture (language : language) (d : Desc.t) src =
   Trace.with_span ~cat:"toolkit" "compile"
     ~args:
@@ -134,6 +136,36 @@ let compile ?options ?use_microops ?observe ?capture:capture_blocks
              [capture] to validate against (there is no compaction) *)
           let insts, labels = Msl_sstar.Compile.parse_compile d src in
           of_insts language d insts labels None)
+
+let compile ?options ?use_microops ?observe ?superopt_memo language d src =
+  compile_hooked ?options ?use_microops ?observe ?superopt_memo language d src
+
+type proof_inputs = {
+  p_artifacts : Msl_mir.Tv.artifact list;
+  p_rewrites : Msl_mir.Superopt.rewrite list;
+}
+
+(* Fresh buffers per call: a compile that raises takes its partial
+   capture with it, so a retry starts from nothing. *)
+let compile_for_proof ?options ?use_microops ?observe ?superopt_memo language
+    d src =
+  let artifacts = ref [] and rewrites = ref [] in
+  let c =
+    compile_hooked ?options ?use_microops ?observe
+      ~capture:(fun a -> artifacts := a :: !artifacts)
+      ?superopt_memo
+      ~superopt_capture:(fun rw -> rewrites := rw :: !rewrites)
+      language d src
+  in
+  (c, { p_artifacts = List.rev !artifacts; p_rewrites = List.rev !rewrites })
+
+(* Each block's compaction against its selection, then each rewrite
+   against the words it replaced: together they cover the program. *)
+let prove d p =
+  ( Msl_mir.Tv.validate_artifacts d p.p_artifacts,
+    List.filter
+      (fun rw -> Msl_mir.Superopt.replay d rw <> Msl_mir.Tv.Validated)
+      p.p_rewrites )
 
 (* Assemble a hand-written microprogram, with the same metrics. *)
 let assemble (d : Desc.t) src =

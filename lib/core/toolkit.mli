@@ -70,20 +70,40 @@ val compile :
   ?options:Msl_mir.Pipeline.options ->
   ?use_microops:bool ->
   ?observe:(string -> Msl_mir.Mir.program -> unit) ->
-  ?capture:(Msl_mir.Tv.artifact -> unit) ->
   ?superopt_memo:Msl_mir.Superopt.memo ->
-  ?superopt_capture:(Msl_mir.Superopt.rewrite -> unit) ->
   language ->
   Desc.t ->
   string ->
   compiled
 (** Parse and compile source text.  [use_microops] applies to EMPL only;
-    [observe] sees the MIR after every executed pass; [capture] receives
-    each lowered block's translation-validation artifact (both are
-    ignored for S*, which has no MIR pipeline and no compaction).
-    [superopt_memo] and [superopt_capture] are forwarded to
+    [observe] sees the MIR after every executed pass (ignored for S*,
+    which has no MIR pipeline).  [superopt_memo] is forwarded to
     {!Msl_mir.Pipeline.compile} when the superoptimizer runs.
     @raise Msl_util.Diag.Error on any front- or back-end failure. *)
+
+(** What translation validation needs from one compile, in emission
+    order: each lowered block's artifact and each superopt rewrite. *)
+type proof_inputs = {
+  p_artifacts : Msl_mir.Tv.artifact list;
+  p_rewrites : Msl_mir.Superopt.rewrite list;
+}
+
+val compile_for_proof :
+  ?options:Msl_mir.Pipeline.options ->
+  ?use_microops:bool ->
+  ?observe:(string -> Msl_mir.Mir.program -> unit) ->
+  ?superopt_memo:Msl_mir.Superopt.memo ->
+  language ->
+  Desc.t ->
+  string ->
+  compiled * proof_inputs
+(** {!compile}, also returning the proof inputs that compile captured
+    into fresh buffers (none for S*, which has no compaction). *)
+
+val prove :
+  Desc.t -> proof_inputs -> Msl_mir.Tv.result * Msl_mir.Superopt.rewrite list
+(** Validate every block artifact and replay every rewrite's proof; the
+    list holds the rewrites that did not replay [Validated]. *)
 
 val assemble : Desc.t -> string -> compiled
 (** Assemble hand-written microcode (see {!Msl_machine.Masm}), with the

@@ -32,11 +32,7 @@ let get name =
 
 let load_file path =
   let src =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+    try In_channel.with_open_bin path In_channel.input_all
     with Sys_error msg ->
       Diag.error Diag.Semantic "cannot read machine description: %s" msg
   in

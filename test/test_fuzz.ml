@@ -59,12 +59,8 @@ let valid_program = function
    to its reference schedule: a refutation on an honest compile is a
    compaction bug, so it fails the property outright. *)
 let compile_validated lang d src =
-  let artifacts = ref [] in
-  let c =
-    Core.Toolkit.compile ~capture:(fun a -> artifacts := a :: !artifacts)
-      lang d src
-  in
-  let tv = Msl_mir.Tv.validate_artifacts d (List.rev !artifacts) in
+  let c, proof = Core.Toolkit.compile_for_proof lang d src in
+  let tv, _ = Core.Toolkit.prove d proof in
   lint_compiled c && tv.Msl_mir.Tv.v_refuted = 0
 
 let compile_of lang src =

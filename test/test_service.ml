@@ -980,6 +980,185 @@ let test_serve_shutdown_request () =
       Alcotest.(check bool) "socket file removed on exit" false
         (Sys.file_exists socket))
 
+(* A run request's fuel must be positive: zero or negative fuel is a
+   malformed request, refused before any work is queued. *)
+let test_serve_fuel_refused () =
+  with_server ~domains:1 (fun _ socket ->
+      let conn = Serve.Client.connect socket in
+      List.iter
+        (fun fuel ->
+          let id = Printf.sprintf "fuel%d" fuel in
+          Serve.Client.send_line conn
+            (Serve.request ~op:"run" ~id ~language:"yalll" ~machine:"hp3"
+               ~source:(Core.Workloads.yalll_program ~seed:3 ~len:6)
+               ~fuel ());
+          match Serve.Client.recv_line conn with
+          | None -> Alcotest.failf "fuel %d: connection closed" fuel
+          | Some line ->
+              let rid, ok, fields = parse_response line in
+              Alcotest.(check string) "answered under its own id" id rid;
+              Alcotest.(check bool) (id ^ " is refused") false ok;
+              Alcotest.(check string) (id ^ " message") "fuel must be positive"
+                (response_str "error" fields))
+        [ -1; 0 ];
+      Serve.Client.close conn)
+
+(* -- the validate gate proves the compile it cached ----------------------- *)
+
+let o2 = { Pipeline.default_options with Pipeline.opt_level = 2 }
+
+let read_example name =
+  In_channel.with_open_bin (Filename.concat "../examples" name)
+    In_channel.input_all
+
+(* Run [f] with tracing on; return its result and the number of
+   toolkit compiles it began. *)
+let count_compiles f =
+  let path = Filename.temp_file "msl_test_service" ".jsonl" in
+  Trace.enable_file path;
+  let r = Fun.protect ~finally:Trace.disable f in
+  let events =
+    match Trace.read_events path with
+    | Ok es -> es
+    | Error msg -> Alcotest.failf "trace did not parse back: %s" msg
+  in
+  Sys.remove path;
+  ( r,
+    List.length
+      (List.filter
+         (fun (e : Trace.event) ->
+           e.ev_ph = "B" && e.ev_cat = "toolkit" && e.ev_name = "compile")
+         events) )
+
+let gated_job () =
+  Service.job ~id:"gated" ~options:o2 ~validate:true Toolkit.Simpl
+    ~machine:"hp3" ~source:(read_example "mpy.simpl")
+
+let check_proved what (o : Service.outcome) =
+  match o.Service.o_result with
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "%s: %s" what d.Diag.message
+
+let test_gate_compiles_once () =
+  let s = Service.create ~domains:1 () in
+  let j = gated_job () in
+  let o, n = count_compiles (fun () -> Service.compile_job s j) in
+  check_proved "gated miss" o;
+  Alcotest.(check bool) "first probe misses" false o.Service.o_cached;
+  Alcotest.(check int) "a gated miss compiles once" 1 n;
+  let o, n = count_compiles (fun () -> Service.compile_job s j) in
+  check_proved "gated hit" o;
+  Alcotest.(check bool) "second probe hits" true o.Service.o_cached;
+  Alcotest.(check int) "a gated hit recompiles once for its proof" 1 n;
+  let o, n =
+    count_compiles (fun () ->
+        Service.compile_job s { j with Service.j_validate = false })
+  in
+  Alcotest.(check bool) "ungated probe hits" true o.Service.o_cached;
+  Alcotest.(check int) "an ungated hit does not compile" 0 n
+
+(* A crashed attempt is retried, and the gate proves the retry's own
+   compile.  The injected fault strikes before the compile starts, so
+   the two attempts make one compile between them and the gate adds
+   none. *)
+let test_gate_after_retry () =
+  let j = gated_job () in
+  let policy =
+    { Service.default_policy with Service.p_retries = 2; p_backoff_ms = 0.1 }
+  in
+  let faults seed =
+    { Service.f_seed = seed; f_raise = 0.5; f_delay = 0.0; f_delay_ms = 0.0 }
+  in
+  let run seed =
+    let s = Service.create ~domains:1 () in
+    let o = Service.compile_job ~policy ~faults:(faults seed) s j in
+    (o, Service.stats s)
+  in
+  (* the draws are deterministic: find a seed whose first attempt raises
+     and whose second does not *)
+  let seed =
+    match
+      List.find_opt
+        (fun seed ->
+          let o, st = run seed in
+          Result.is_ok o.Service.o_result && st.Service.st_retries = 1)
+        (List.init 64 Fun.id)
+    with
+    | Some seed -> seed
+    | None -> Alcotest.fail "no seed raises on exactly the first attempt"
+  in
+  let (o, st), n = count_compiles (fun () -> run seed) in
+  check_proved "retried gated miss" o;
+  Alcotest.(check int) "one retry" 1 st.Service.st_retries;
+  Alcotest.(check int) "one crash" 1 st.Service.st_internal;
+  Alcotest.(check int) "one compile, no recompile" 1 n
+
+(* The daemon backs superopt with a disk memo, so a memo hit must still
+   report its rewrite for the gate to replay: cold and warm memo capture
+   the same rewrites, and both prove. *)
+let test_memo_captures_rewrites () =
+  let tbl = Hashtbl.create 16 in
+  let memo =
+    {
+      Msl_mir.Superopt.memo_find = Hashtbl.find_opt tbl;
+      memo_add = Hashtbl.replace tbl;
+    }
+  in
+  let d = Machines.hp3 and src = read_example "mpy.simpl" in
+  let compile () =
+    Toolkit.compile_for_proof ~options:o2 ~superopt_memo:memo Toolkit.Simpl d
+      src
+  in
+  let cold, p_cold = compile () in
+  Alcotest.(check bool) "cold run fills the memo" true (Hashtbl.length tbl > 0);
+  let warm, p_warm = compile () in
+  (match warm.Toolkit.c_superopt with
+  | Some st ->
+      Alcotest.(check bool) "warm run hits the memo" true
+        (st.Msl_mir.Superopt.s_memo_hits > 0)
+  | None -> Alcotest.fail "-O2 reported no superopt stats");
+  Alcotest.(check bool) "the cold run rewrote something" true
+    (p_cold.Toolkit.p_rewrites <> []);
+  Alcotest.(check int) "same rewrites captured"
+    (List.length p_cold.Toolkit.p_rewrites)
+    (List.length p_warm.Toolkit.p_rewrites);
+  Alcotest.(check bool) "same program" true
+    (cold.Toolkit.c_insts = warm.Toolkit.c_insts);
+  List.iter
+    (fun (what, p) ->
+      let r, bad = Toolkit.prove d p in
+      Alcotest.(check int) (what ^ ": no bad rewrites") 0 (List.length bad);
+      Alcotest.(check int) (what ^ ": no refuted blocks") 0
+        r.Msl_mir.Tv.v_refuted;
+      Alcotest.(check int) (what ^ ": no unknown blocks") 0
+        r.Msl_mir.Tv.v_unknown)
+    [ ("cold", p_cold); ("warm", p_warm) ]
+
+(* The checker the gate runs refutes captured words that no longer match
+   their selection: blank the first word that carries microoperations. *)
+let test_prove_refutes_tampering () =
+  let d = Machines.hp3 in
+  let _, p =
+    Toolkit.compile_for_proof Toolkit.Yalll d (read_example "gcd.yll")
+  in
+  let tampered = ref false in
+  let blank (a : Msl_mir.Tv.artifact) =
+    if !tampered then a
+    else
+      match a.a_mis with
+      | (_ :: _, next) :: rest ->
+          tampered := true;
+          { a with a_mis = ([], next) :: rest }
+      | _ -> a
+  in
+  let p =
+    { p with Toolkit.p_artifacts = List.map blank p.Toolkit.p_artifacts }
+  in
+  Alcotest.(check bool) "found a word to blank" true !tampered;
+  let r, _ = Toolkit.prove d p in
+  Alcotest.(check bool) "tampered block refuted" true
+    (r.Msl_mir.Tv.v_refuted > 0)
+
 let () =
   Alcotest.run "service"
     [
@@ -1015,6 +1194,17 @@ let () =
             test_diagnostics_not_retried;
           Alcotest.test_case "deadline overrun" `Quick test_deadline_overrun;
           Alcotest.test_case "fail-fast cancels the tail" `Quick test_fail_fast;
+          Alcotest.test_case "gate proves a retried miss" `Quick
+            test_gate_after_retry;
+        ] );
+      ( "validate",
+        [
+          Alcotest.test_case "one compile per gated job" `Quick
+            test_gate_compiles_once;
+          Alcotest.test_case "memo hits still report rewrites" `Quick
+            test_memo_captures_rewrites;
+          Alcotest.test_case "tampered capture refuted" `Quick
+            test_prove_refutes_tampering;
         ] );
       ( "disk",
         [
@@ -1052,5 +1242,7 @@ let () =
             `Quick test_serve_protocol_errors;
           Alcotest.test_case "shutdown request stops the daemon" `Quick
             test_serve_shutdown_request;
+          Alcotest.test_case "non-positive fuel refused" `Quick
+            test_serve_fuel_refused;
         ] );
     ]

@@ -78,12 +78,10 @@ let test_corpus () =
       List.iter
         (fun d ->
           let c1 = Toolkit.compile lang d src in
-          let rewrites = ref [] in
-          let c2 =
-            Toolkit.compile ~options:o2_options
-              ~superopt_capture:(fun rw -> rewrites := rw :: !rewrites)
-              lang d src
+          let c2, proof =
+            Toolkit.compile_for_proof ~options:o2_options lang d src
           in
+          let rewrites = proof.Toolkit.p_rewrites in
           check_bool
             (Printf.sprintf "%s on %s: O2 words (%d) <= O1 words (%d)" name
                d.Desc.d_name c2.Toolkit.c_words c1.Toolkit.c_words)
@@ -94,7 +92,7 @@ let test_corpus () =
           Alcotest.(check string)
             (Printf.sprintf "%s on %s: O2 state = O1 state" name d.Desc.d_name)
             s1 s2;
-          total_rewrites := !total_rewrites + List.length !rewrites;
+          total_rewrites := !total_rewrites + List.length rewrites;
           List.iter
             (fun (rw : Superopt.rewrite) ->
               check_bool
@@ -104,7 +102,7 @@ let test_corpus () =
                    rw.Superopt.rw_label)
                 true
                 (Superopt.replay d rw = Tv.Validated))
-            !rewrites;
+            rewrites;
           match c2.Toolkit.c_superopt with
           | None -> Alcotest.failf "%s on %s: -O2 reported no superopt stats"
                       name d.Desc.d_name
@@ -113,7 +111,7 @@ let test_corpus () =
                 (Printf.sprintf "%s on %s: captured = accepted" name
                    d.Desc.d_name)
                 st.Superopt.s_accepted
-                (List.length !rewrites))
+                (List.length rewrites))
         machines)
     (example_sources ());
   check_bool "the corpus exercises at least one rewrite" true
