@@ -28,9 +28,15 @@ let check_same op a b =
     invalid_arg
       (Printf.sprintf "Bitvec.%s: width mismatch (%d vs %d)" op a.w b.w)
 
+(* One shared zero per width.  Filling a large array with a fresh
+   (young) zero makes [Array.make] force a minor collection first, so
+   every simulator load would pay one; a shared value is promoted once
+   and stays put. *)
+let zeros = Array.init 64 (fun i -> { w = i + 1; v = 0L })
+
 let zero w =
   check_width w;
-  { w; v = 0L }
+  zeros.(w - 1)
 
 let ones w =
   check_width w;

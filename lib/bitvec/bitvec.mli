@@ -21,7 +21,8 @@ val no_flags : flags
 (** {1 Construction} *)
 
 val zero : int -> t
-(** [zero w] is the all-zeros vector of width [w].
+(** [zero w] is the all-zeros vector of width [w], one shared value
+    per width.
     @raise Invalid_argument if [w] is outside 1..64. *)
 
 val ones : int -> t

@@ -266,18 +266,25 @@ let job ?id ?(options = Pipeline.default_options) ?(use_microops = false)
 (* One file per fingerprint under the cache directory: a one-line
    versioned text header followed by the marshalled entry.  The header
    pins the format version, the OCaml version (Marshal is not stable
-   across compilers) and the job's [Pipeline.options_id], so an entry
-   written by an incompatible build or under a different option scheme
-   reads as a miss, never as a wrong answer.  Writes go to a tmp file in
-   the same directory and are published with [Sys.rename], so a reader —
-   or a crash mid-write — can only ever see a complete file.  All disk
-   I/O happens outside the service lock. *)
+   across compilers), the machine description's digest and the job's
+   [Pipeline.options_id], so an entry written by an incompatible build,
+   against an edited machine or under a different option scheme reads
+   as a miss, never as a wrong answer.  The payload leaves the machine
+   out ([Toolkit.unlinked]: ops name their templates by index) and is
+   relinked on load against the description the job names, so a disk
+   hit neither stores nor unmarshals a copy of the machine.  Writes go
+   to a tmp file in the same directory and are published with
+   [Sys.rename], so a reader — or a crash mid-write — can only ever see
+   a complete file.  All disk I/O happens outside the service lock. *)
 
-let disk_format_version = 1
+let disk_format_version = 2
 
-let disk_header ~opts_id =
-  Printf.sprintf "msl-cache %d %s %s" disk_format_version Sys.ocaml_version
-    opts_id
+let disk_header ~opts_id (d : Desc.t) =
+  Printf.sprintf "msl-cache %d %s %s %s" disk_format_version Sys.ocaml_version
+    d.Desc.d_digest opts_id
+
+(* What a [.mslc] file marshals after its header line. *)
+type disk_payload = Toolkit.unlinked * string  (* program, listing *)
 
 let disk_file dir key = Filename.concat dir (Digest.to_hex key ^ ".mslc")
 
@@ -325,18 +332,29 @@ let read_published path header read =
           try if input_line ic <> header then None else Some (read ic)
           with _ -> None)
 
-let disk_load t ~opts_id key =
+(* [machine] names the description the entry must relink against; it
+   is only asked for on a memory miss, and an unknown machine is a
+   miss here (the compile then reports it). *)
+let disk_load t ~opts_id ~machine key =
   Option.bind t.disk (fun dir ->
-      read_published (disk_file dir key) (disk_header ~opts_id) (fun ic ->
-          (Marshal.from_channel ic : entry)))
+      match machine () with
+      | exception Diag.Error _ -> None
+      | d ->
+          read_published (disk_file dir key) (disk_header ~opts_id d)
+            (fun ic ->
+              let u, listing = (Marshal.from_channel ic : disk_payload) in
+              { e_compiled = Toolkit.relink d u; e_listing = listing }))
 
 let disk_store t ~opts_id key e =
   match t.disk with
   | None -> ()
   | Some dir ->
       if
-        publish (disk_file dir key) (disk_header ~opts_id) (fun oc ->
-            Marshal.to_channel oc e [])
+        publish (disk_file dir key)
+          (disk_header ~opts_id e.e_compiled.Toolkit.c_machine) (fun oc ->
+            Marshal.to_channel oc
+              ((Toolkit.unlink e.e_compiled, e.e_listing) : disk_payload)
+              [])
       then
         locked t (fun () ->
             t.disk_stores <- t.disk_stores + 1;
@@ -414,7 +432,7 @@ let insert t ~opts_id key e =
    are monotone even under a domain fan-out.  [jobs] is bumped once per
    probe and exactly one of [hits]/[misses] follows — whichever layer
    answered — so [hits + misses = jobs] holds with or without a disk. *)
-let probe t ~opts_id key =
+let probe t ~opts_id ~machine key =
   let from_memory =
     locked t (fun () ->
         t.jobs <- t.jobs + 1;
@@ -437,7 +455,7 @@ let probe t ~opts_id key =
       note_hit ~disk:false;
       Some e
   | None -> (
-      match disk_load t ~opts_id key with
+      match disk_load t ~opts_id ~machine key with
       | Some e ->
           (* promote to the memory layer; no write-back needed *)
           insert_mem t key e;
@@ -734,7 +752,8 @@ let compile_job ?(policy = default_policy) ?(faults = no_faults) t (j : job) =
     { o_job = j; o_result = Ok (e.e_compiled, e.e_listing); o_cached = cached }
   in
   let outcome, proof =
-    match probe t ~opts_id key with
+    let machine () = Machines.get j.j_machine in
+    match probe t ~opts_id ~machine key with
     | Some e -> (served ~cached:true e, None)
     | None -> (
         match compile_uncached t ~policy ~faults ~opts_id j key with
@@ -865,8 +884,8 @@ let run_batch ?domains ?(policy = default_policy) ?(faults = no_faults) t jobs =
 
 (* -- in-process cached entry points ------------------------------------------------ *)
 
-let cached_value t ~opts_id key compute =
-  match probe t ~opts_id key with
+let cached_value t ~opts_id (d : Desc.t) key compute =
+  match probe t ~opts_id ~machine:(fun () -> d) key with
   | Some e -> e
   | None ->
       let e = compute () in
@@ -882,7 +901,7 @@ let compile_cached t ?(options = Pipeline.default_options)
        ~machine:d.Desc.d_name ~options:opts_id ~use_microops ~source
       :> string)
   in
-  (cached_value t ~opts_id key (fun () ->
+  (cached_value t ~opts_id d key (fun () ->
        let c = Toolkit.compile ~options ~use_microops language d source in
        { e_compiled = c; e_listing = Masm.print d c.Toolkit.c_insts }))
     .e_compiled
@@ -893,7 +912,7 @@ let assemble_cached t (d : Desc.t) source =
        ~use_microops:false ~source
       :> string)
   in
-  (cached_value t ~opts_id:"-" key (fun () ->
+  (cached_value t ~opts_id:"-" d key (fun () ->
        let c = Toolkit.assemble d source in
        { e_compiled = c; e_listing = Masm.print d c.Toolkit.c_insts }))
     .e_compiled

@@ -123,12 +123,16 @@ val create : ?domains:int -> ?capacity:int -> ?cache_dir:string -> unit -> t
     [capacity] bounds the in-memory cache, evicting oldest-inserted
     entries (default 4096).  [cache_dir] adds a persistent
     content-addressed layer under the memory cache: one file per
-    fingerprint (versioned header + marshalled entry, written atomically
-    via tmp+rename), read on a memory miss and written on a fresh
-    compile.  The directory is created if missing, shared safely between
-    domains and processes, unbounded (eviction applies to the memory
-    layer only), and survives restarts; corrupt or incompatible files
-    are treated as misses and rewritten.  {!clear} does not touch it.
+    fingerprint, written atomically via tmp+rename, read on a memory
+    miss and written on a fresh compile.  A file is a header line
+    [msl-cache 2 <ocaml version> <d_digest> <options_id>] and the
+    marshalled pair of the {!Toolkit.unlinked} program and its listing;
+    a hit is relinked against the job's own description (the registry's
+    for jobs, the caller's for {!compile_cached}/{!assemble_cached}).
+    The directory is created if missing, shared safely between domains
+    and processes, unbounded (eviction applies to the memory layer
+    only), and survives restarts; corrupt or incompatible files are
+    treated as misses and rewritten.  {!clear} does not touch it.
     The same directory also backs the superoptimizer's window-search
     memo ([.msso] files keyed by window digest) for jobs compiled with
     [superopt=on]/[-O 2], under the same atomic-write and

@@ -104,6 +104,52 @@ let of_insts ?(timings = []) ?(inexact_blocks = 0) ?superopt language d insts
     c_timings = timings;
   }
 
+(* A program with its machine taken out, so a persisted copy can point
+   at the one description the process already holds instead of carrying
+   its own: each op names its template by index in [d_templates].  The
+   word, op and bit counts are not kept; [of_insts] derives them again. *)
+type unlinked = {
+  u_language : language;
+  u_insts : ((int * Inst.arg array) list * Inst.next) list;
+  u_labels : (string * int) list;
+  u_alloc : Msl_mir.Regalloc.stats option;
+  u_inexact_blocks : int;
+  u_superopt : Msl_mir.Superopt.stats option;
+  u_timings : Msl_mir.Passmgr.timing list;
+}
+
+let unlink (c : compiled) =
+  let templates = c.c_machine.Desc.d_templates in
+  let index tm =
+    let rec find i =
+      if i = Array.length templates then
+        invalid_arg "Toolkit.unlink: op template not in the machine"
+      else if templates.(i) == tm then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let unlink_op (op : Inst.op) = (index op.Inst.op_t, op.Inst.op_args) in
+  {
+    u_language = c.c_language;
+    u_insts =
+      List.map (fun (i : Inst.t) -> (List.map unlink_op i.Inst.ops, i.Inst.next))
+        c.c_insts;
+    u_labels = c.c_labels;
+    u_alloc = c.c_alloc;
+    u_inexact_blocks = c.c_inexact_blocks;
+    u_superopt = c.c_superopt;
+    u_timings = c.c_timings;
+  }
+
+let relink (d : Desc.t) u =
+  let link (t, args) = { Inst.op_t = d.Desc.d_templates.(t); op_args = args } in
+  let insts =
+    List.map (fun (ops, next) -> { Inst.ops = List.map link ops; next }) u.u_insts
+  in
+  of_insts ~timings:u.u_timings ~inexact_blocks:u.u_inexact_blocks
+    ?superopt:u.u_superopt u.u_language d insts u.u_labels u.u_alloc
+
 (* The one compile behind both entry points: [compile] runs it with the
    capture hooks off, [compile_for_proof] with both on. *)
 let compile_hooked ?options ?use_microops ?observe ?capture:capture_blocks

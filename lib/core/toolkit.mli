@@ -66,6 +66,32 @@ type compiled = {
           assembled programs (no pass pipeline) *)
 }
 
+(** A compiled program with its machine taken out, the form the
+    service's disk cache persists: each op names its template by its
+    index in the machine's [d_templates]. *)
+type unlinked = {
+  u_language : language;
+  u_insts : ((int * Inst.arg array) list * Inst.next) list;
+      (** each word's ops as (template index, arguments), and its
+          sequencing *)
+  u_labels : (string * int) list;
+  u_alloc : Msl_mir.Regalloc.stats option;
+  u_inexact_blocks : int;
+  u_superopt : Msl_mir.Superopt.stats option;
+  u_timings : Msl_mir.Passmgr.timing list;
+}
+
+val unlink : compiled -> unlinked
+(** @raise Invalid_argument when an op's template is not physically one
+    of [c_machine]'s. *)
+
+val relink : Desc.t -> unlinked -> compiled
+(** The inverse of {!unlink} against the given description, which must
+    be the one the program was compiled for (the caller checks, e.g. by
+    [d_digest]): the result's [c_machine] and every op's template are
+    that description's own values.
+    @raise Invalid_argument on a template index outside [d_templates]. *)
+
 val compile :
   ?options:Msl_mir.Pipeline.options ->
   ?use_microops:bool ->

@@ -109,6 +109,7 @@ type t = {
   d_vertical : bool;  (* one microoperation per microinstruction *)
   d_scratch_base : int;  (* main-memory base reserved for register spills *)
   d_note : string;
+  d_digest : string;  (* hex digest of every field above; see [make] *)
   (* caches *)
   by_name : (string, reg) Hashtbl.t;
   by_class : (string, reg list) Hashtbl.t;
@@ -307,6 +308,18 @@ let make ~name ~word ~addr ~phases ~regs ~units ~fields ~templates ~cond_caps
   let d_templates = Array.of_list templates in
   let t_by_name = Hashtbl.create 64 in
   Array.iter (fun tm -> Hashtbl.replace t_by_name tm.t_name tm) d_templates;
+  (* Taken once here so that anything persisted against a description
+     (the service's disk cache) can tell an edited machine from the
+     one it was written for. *)
+  let d_digest =
+    Digest.to_hex
+      (Digest.string
+         (Marshal.to_string
+            ( (name, word, addr, phases, d_regs, units, fields, d_templates),
+              (cond_caps, mem_extra_cycles, store_words, vertical, scratch_base,
+               note) )
+            []))
+  in
   validate
     {
       d_name = name;
@@ -323,6 +336,7 @@ let make ~name ~word ~addr ~phases ~regs ~units ~fields ~templates ~cond_caps
       d_vertical = vertical;
       d_scratch_base = scratch_base;
       d_note = note;
+      d_digest;
       by_name;
       by_class;
       t_by_name;

@@ -105,6 +105,9 @@ type t = {
   d_vertical : bool;  (** one microoperation per microinstruction *)
   d_scratch_base : int;  (** main-memory base reserved for spills *)
   d_note : string;
+  d_digest : string;
+      (** hex digest of every field above, taken once by {!make}: two
+          descriptions with equal digests describe the same machine *)
   by_name : (string, reg) Hashtbl.t;  (** lookup cache; use {!find_reg} *)
   by_class : (string, reg list) Hashtbl.t;  (** cache; use {!regs_of_class} *)
   t_by_name : (string, template) Hashtbl.t;  (** cache; use {!find_template} *)

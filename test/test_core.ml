@@ -348,6 +348,20 @@ let test_all_tables_render () =
     (fun t -> check_bool "renders" true (String.length (Msl_util.Tbl.render t) > 0))
     (Core.Experiments.all_tables ())
 
+(* A load allocates a 4096-word memory straight into the major heap.
+   Filling it with a young value makes [Array.make] collect the minor
+   heap first, so a fresh zero per load would cost a collection per
+   load; the shared per-width zeros keep loads collection-free. *)
+let test_load_no_minor_gc () =
+  let c = Core.Toolkit.assemble Machines.hp3 Core.Handcoded.translit_hp3 in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for _ = 1 to 10 do
+    ignore (Core.Toolkit.load c : Sim.t)
+  done;
+  check_int "minor collections over ten loads" 0
+    ((Gc.quick_stat ()).Gc.minor_collections - before)
+
 let () =
   Alcotest.run "core"
     [
@@ -383,5 +397,7 @@ let () =
           Alcotest.test_case "sweeper machines" `Quick
             test_sweeper_machines_valid;
           Alcotest.test_case "all tables render" `Quick test_all_tables_render;
+          Alcotest.test_case "load forces no minor collection" `Quick
+            test_load_no_minor_gc;
         ] );
     ]

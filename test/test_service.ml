@@ -366,8 +366,8 @@ let with_cache_dir f =
     (fun () -> f dir)
 
 (* distinct sources only, so the disk-hit accounting below is exact *)
-let disk_jobs () =
-  List.init 6 (fun i ->
+let disk_jobs ?(n = 6) () =
+  List.init n (fun i ->
       Service.job
         ~id:(Printf.sprintf "d%d" i)
         Toolkit.Yalll ~machine:"hp3"
@@ -398,12 +398,84 @@ let test_disk_survives_restart () =
       Alcotest.(check int) "no recompiles" 0 st2.Service.st_misses;
       Alcotest.(check int) "no rewrites" 0 st2.Service.st_disk_stores)
 
-(* Corrupt entries — truncation, garbage, a stale or foreign header —
-   must read as misses that recompile and heal the file, never as wrong
-   results or exceptions. *)
+let manifest_jobs () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  Service.parse_manifest
+    ~load:(fun p -> read (Filename.concat ".." p))
+    (read "../examples/batch.manifest")
+
+(* A disk hit is relinked against the registry's description: no copy of
+   the machine comes back from the file, every op points at one of the
+   machine's own templates, and the program is the cold compile's in
+   every observable — counts, listing, and the state both engines leave
+   behind. *)
+let test_disk_relinks_to_registry () =
+  with_cache_dir (fun dir ->
+      let js = manifest_jobs () in
+      let cold =
+        Service.run_batch (Service.create ~domains:1 ~cache_dir:dir ()) js
+      in
+      let warm_service = Service.create ~domains:1 ~cache_dir:dir () in
+      let warm = Service.run_batch warm_service js in
+      Alcotest.(check int) "nothing recompiled" 0
+        (Service.stats warm_service).Service.st_misses;
+      let final_state engine c =
+        match
+          Toolkit.capture (fun () ->
+              let sim, status = Toolkit.run_status ~engine ~fuel:200_000 c in
+              (status = Sim.Halted, Sim.state_digest sim))
+        with
+        | Ok (halted, digest) -> Printf.sprintf "halted=%b\n%s" halted digest
+        | Error d -> Diag.to_string d
+      in
+      Array.iteri
+        (fun i (w : Service.outcome) ->
+          let id = w.Service.o_job.Service.j_id in
+          match (cold.(i).Service.o_result, w.Service.o_result) with
+          | Ok (cc, cl), Ok (wc, wl) ->
+              let d = Machines.get w.Service.o_job.Service.j_machine in
+              Alcotest.(check bool) (id ^ " served warm") true w.Service.o_cached;
+              Alcotest.(check bool)
+                (id ^ " machine is the registry's") true
+                (wc.Toolkit.c_machine == d);
+              List.iter
+                (fun (inst : Inst.t) ->
+                  List.iter
+                    (fun (op : Inst.op) ->
+                      if
+                        not
+                          (Array.exists (( == ) op.Inst.op_t) d.Desc.d_templates)
+                      then
+                        Alcotest.failf "%s: op %s is not the machine's template"
+                          id op.Inst.op_t.Desc.t_name)
+                    inst.Inst.ops)
+                wc.Toolkit.c_insts;
+              Alcotest.(check (triple int int int))
+                (id ^ " words, ops, bits")
+                (cc.Toolkit.c_words, cc.Toolkit.c_ops, cc.Toolkit.c_bits)
+                (wc.Toolkit.c_words, wc.Toolkit.c_ops, wc.Toolkit.c_bits);
+              Alcotest.(check string) (id ^ " listing") cl wl;
+              List.iter
+                (fun engine ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s state on %s" id
+                       (Toolkit.engine_name engine))
+                    (final_state engine cc) (final_state engine wc))
+                [ Toolkit.Interp; Toolkit.Compiled ]
+          | _ -> Alcotest.failf "%s failed" id)
+        warm)
+
+(* The shape of a format-1 entry: the whole compiled program, machine
+   description included. *)
+type v1_entry = { v1_compiled : Toolkit.compiled; v1_listing : string }
+
+(* Corrupt entries — truncation, garbage, a stale or foreign header, a
+   file of the old format, another machine's digest, a template index
+   the machine does not have — must read as misses that recompile and
+   heal the file, never as wrong results or exceptions. *)
 let test_disk_corruption_tolerated () =
   with_cache_dir (fun dir ->
-      let js = disk_jobs () in
+      let js = disk_jobs ~n:9 () in
       let expected = reference_listings js in
       let s1 = Service.create ~domains:1 ~cache_dir:dir () in
       ignore (Service.run_batch s1 js);
@@ -412,35 +484,84 @@ let test_disk_corruption_tolerated () =
         |> List.filter (fun f -> Filename.check_suffix f ".mslc")
         |> List.sort compare
       in
-      Alcotest.(check int) "one file per entry" 6 (List.length files);
+      Alcotest.(check int) "one file per entry" 9 (List.length files);
+      let path i = Filename.concat dir (List.nth files i) in
       let clobber i content =
-        let oc = open_out_bin (Filename.concat dir (List.nth files i)) in
+        let oc = open_out_bin (path i) in
         output_string oc content;
         close_out oc
+      in
+      let header i = In_channel.with_open_bin (path i) input_line in
+      let hp3 = Machines.hp3 in
+      (* the program behind entry file [i], compiled afresh *)
+      let compiled_of i =
+        let j =
+          List.find
+            (fun j ->
+              Digest.to_hex (Service.cache_key j :> string) ^ ".mslc"
+              = List.nth files i)
+            js
+        in
+        Toolkit.compile Toolkit.Yalll hp3 j.Service.j_source
       in
       clobber 0 "";  (* empty file *)
       clobber 1 "total garbage, not even a header\n\xff\xfe";
       clobber 2 "msl-cache 999 future-version -\ngarbage";  (* wrong header *)
-      (let path = Filename.concat dir (List.nth files 3) in
-       (* keep a valid header but truncate the marshalled payload *)
-       let ic = open_in_bin path in
-       let header = input_line ic in
-       close_in ic;
-       let oc = open_out_bin path in
-       output_string oc (header ^ "\n\000\000");
-       close_out oc);
+      (* keep a valid header but truncate the marshalled payload *)
+      clobber 3 (header 3 ^ "\n\000\000");
+      (* a format-1 file: its header and its machine-carrying payload *)
+      (let c = compiled_of 4 in
+       clobber 4
+         (Printf.sprintf "msl-cache 1 %s %s\n" Sys.ocaml_version
+            (Pipeline.options_id Pipeline.default_options)
+         ^ Marshal.to_string
+             { v1_compiled = c; v1_listing = Masm.print hp3 c.Toolkit.c_insts }
+             []));
+      (* an intact payload under a header naming another machine *)
+      (let h = header 5 in
+       let all = In_channel.with_open_bin (path 5) In_channel.input_all in
+       let payload =
+         String.sub all (String.length h) (String.length all - String.length h)
+       in
+       let swap w =
+         if w = hp3.Desc.d_digest then Machines.h1.Desc.d_digest else w
+       in
+       let h' = String.split_on_char ' ' h |> List.map swap |> String.concat " " in
+       Alcotest.(check bool) "the header names hp3" true (h' <> h);
+       clobber 5 (h' ^ payload));
+      (* a valid header over a payload whose ops name a template past the
+         end of the machine's *)
+      (let c = compiled_of 6 in
+       let u = Toolkit.unlink c in
+       let past = Array.length hp3.Desc.d_templates in
+       let bad =
+         {
+           u with
+           Toolkit.u_insts =
+             List.map
+               (fun (ops, next) -> (List.map (fun (_, a) -> (past, a)) ops, next))
+               u.Toolkit.u_insts;
+         }
+       in
+       Alcotest.(check bool) "the program has ops" true (c.Toolkit.c_ops > 0);
+       clobber 6
+         (header 6 ^ "\n"
+         ^ Marshal.to_string
+             ((bad, Masm.print hp3 c.Toolkit.c_insts)
+               : Toolkit.unlinked * string)
+             []));
       let s2 = Service.create ~domains:1 ~cache_dir:dir () in
       let out = Service.run_batch s2 js in
       check_identical "corruption never changes results" expected
         (outcome_listings out);
       let st = Service.stats s2 in
       Alcotest.(check int) "intact entries hit" 2 st.Service.st_disk_hits;
-      Alcotest.(check int) "corrupt entries recompiled" 4 st.Service.st_misses;
-      Alcotest.(check int) "corrupt entries healed" 4 st.Service.st_disk_stores;
+      Alcotest.(check int) "corrupt entries recompiled" 7 st.Service.st_misses;
+      Alcotest.(check int) "corrupt entries healed" 7 st.Service.st_disk_stores;
       (* healed: one more restart now hits everything *)
       let s3 = Service.create ~domains:1 ~cache_dir:dir () in
       ignore (Service.run_batch s3 js);
-      Alcotest.(check int) "all healed" 6 (Service.stats s3).Service.st_disk_hits)
+      Alcotest.(check int) "all healed" 9 (Service.stats s3).Service.st_disk_hits)
 
 (* A crash between the tmp write and the rename strands a
    *.tmp.<pid>.<domain> file; Service.create must sweep the ones whose
@@ -704,12 +825,7 @@ let test_manifest_end_to_end () =
 (* the checked-in manifest is the CI gates' corpus: every example program,
    at default options, on every machine its language targets *)
 let test_manifest_covers_examples () =
-  let read path = In_channel.with_open_bin path In_channel.input_all in
-  let js =
-    Service.parse_manifest
-      ~load:(fun p -> read (Filename.concat ".." p))
-      (read "../examples/batch.manifest")
-  in
+  let js = manifest_jobs () in
   let default = Pipeline.options_id Pipeline.default_options in
   List.iter
     (fun (file, language, source) ->
@@ -1212,6 +1328,8 @@ let () =
             test_disk_survives_restart;
           Alcotest.test_case "corruption tolerated and healed" `Quick
             test_disk_corruption_tolerated;
+          Alcotest.test_case "hits relink to the registry's machine" `Quick
+            test_disk_relinks_to_registry;
           Alcotest.test_case "stale tmp files swept on create" `Quick
             test_stale_tmp_sweep;
         ] );
