@@ -287,4 +287,3 @@ let to_string ?(base = 10) t =
   | b -> invalid_arg (Printf.sprintf "Bitvec.to_string: base %d" b)
 
 let pp ppf t = Format.fprintf ppf "%d'd%Lu" t.w t.v
-let pp_hex ppf t = Format.fprintf ppf "%s" (to_string ~base:16 t)

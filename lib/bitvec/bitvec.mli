@@ -131,4 +131,3 @@ val to_string : ?base:int -> t -> string
 val pp : Format.formatter -> t -> unit
 (** Prints as [w'dvalue], e.g. [16'd42]. *)
 
-val pp_hex : Format.formatter -> t -> unit

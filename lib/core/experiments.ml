@@ -22,8 +22,6 @@ let cached_compile ?options ?use_microops lang d src =
 
 let cached_assemble d src = Service.assemble_cached service d src
 
-let service_stats () = Service.stats service
-
 (* Experiments that study a single pipeline stage (the allocator under
    pressure, the compaction achievable on raw blocks, the survey-era
    compilers that shipped no optimizer) pin the machine-independent

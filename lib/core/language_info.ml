@@ -215,8 +215,6 @@ let symbolic_count =
 let parameter_passing_count = count (fun l -> l.subroutine_parameters)
 let interrupts_count = count (fun l -> l.interrupts_addressed)
 let verification_count = count (fun l -> l.verification)
-let implemented_count =
-  count (fun l -> match l.implementation with Implemented _ -> true | _ -> false)
 
 let variables_name = function
   | Registers -> "registers"

@@ -37,7 +37,6 @@ val symbolic_count : int
 val parameter_passing_count : int
 val interrupts_count : int
 val verification_count : int
-val implemented_count : int
 
 (** {1 Rendering} *)
 

@@ -509,10 +509,7 @@ let compile_for_proof ?superopt_memo (j : job) d =
    firewall sorts the two apart.  A job the validate gate will prove
    captures its proof inputs here, in the one compile a miss does. *)
 let compile_raw ?superopt_memo (j : job) =
-  let d =
-    try Machines.get j.j_machine
-    with Invalid_argument msg -> Diag.error Diag.Semantic "%s" msg
-  in
+  let d = Machines.get j.j_machine in
   let c, proof =
     if proves j then
       let c, p = compile_for_proof ?superopt_memo j d in
@@ -898,7 +895,7 @@ let compile_cached t ?(options = Pipeline.default_options)
   let key =
     (key_of ~kind:"compile"
        ~language:(Toolkit.language_name language)
-       ~machine:d.Desc.d_name ~options:opts_id ~use_microops ~source
+       ~machine:d.Desc.d_digest ~options:opts_id ~use_microops ~source
       :> string)
   in
   (cached_value t ~opts_id d key (fun () ->
@@ -908,8 +905,8 @@ let compile_cached t ?(options = Pipeline.default_options)
 
 let assemble_cached t (d : Desc.t) source =
   let key =
-    (key_of ~kind:"assemble" ~language:"-" ~machine:d.Desc.d_name ~options:"-"
-       ~use_microops:false ~source
+    (key_of ~kind:"assemble" ~language:"-" ~machine:d.Desc.d_digest
+       ~options:"-" ~use_microops:false ~source
       :> string)
   in
   (cached_value t ~opts_id:"-" d key (fun () ->

@@ -191,8 +191,9 @@ val compile_cached :
   string ->
   Toolkit.compiled
 (** Drop-in cached {!Toolkit.compile} for in-process consumers (the
-    experiment drivers).  @raise Msl_util.Diag.Error like the
-    original. *)
+    experiment drivers).  Keyed on the description's [d_digest], not its
+    name: two descriptions that share a name never share an entry.
+    @raise Msl_util.Diag.Error like the original. *)
 
 val assemble_cached : t -> Desc.t -> string -> Toolkit.compiled
 (** Cached {!Toolkit.assemble}, under a distinct key kind. *)

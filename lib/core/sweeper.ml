@@ -8,7 +8,6 @@
 
 open Msl_machine
 open Desc
-open Tmpl
 
 let bits_for n =
   let rec go b = if 1 lsl b >= n then b else go (b + 1) in
@@ -47,87 +46,17 @@ let machine ~nregs =
         mkreg ~classes:[ "gpr"; "mbr" ] (nregs + 3) "MBR" 16;
       ]
   in
-  let alu_code = function
-    | Rtl.A_add -> 1
-    | Rtl.A_adc -> 2
-    | Rtl.A_sub -> 3
-    | Rtl.A_and -> 4
-    | Rtl.A_or -> 5
-    | Rtl.A_xor -> 6
-    | _ -> invalid_arg "Sweeper.alu_code"
-  in
-  let alu_fields op =
-    [ fs "alu_op" (alu_code op); fso "alu_d" 0; fso "alu_a" 1; fso "alu_b" 2 ]
-  in
-  let sh_code = function
-    | Rtl.A_shl -> 1
-    | Rtl.A_shr -> 2
-    | Rtl.A_sra -> 3
-    | Rtl.A_rol -> 4
-    | Rtl.A_ror -> 5
-    | _ -> invalid_arg "Sweeper.sh_code"
-  in
-  let sh_fields op =
-    [ fs "sh_op" (sh_code op); fso "sh_d" 0; fso "sh_s" 1; fso "sh_amt" 2 ]
-  in
+  (* HP3's own templates, a subset of them and in this order: [rd]/[rdr]
+     and [wr]/[wrr] share a sem, so the order decides which one
+     instruction selection finds first *)
   let templates =
-    [
-      mov ~phase:0 ~unit_:"abus"
-        ~fields:[ fs "ab_en" 1; fso "ab_d" 0; fso "ab_s" 1 ]
-        "mov";
-      ldc ~width:16 ~phase:0 ~unit_:"abus"
-        ~fields:[ fs "ab_en" 2; fso "ab_d" 0; fso "imm" 1 ]
-        "ldc";
-      alu3 ~phase:0 ~unit_:"alu" ~fields:(alu_fields Rtl.A_add) "add" Rtl.A_add;
-      { (alu3 ~phase:0 ~unit_:"alu" ~fields:(alu_fields Rtl.A_adc) "adc"
-           Rtl.A_adc)
-        with
-        Desc.t_actions = [ Rtl.Arith (Rtl.D_opnd 0, Rtl.A_adc, Rtl.Opnd 1, Rtl.Opnd 2) ];
-      };
-      alu3 ~set_flags:true ~phase:0 ~unit_:"alu"
-        ~fields:[ fs "alu_op" 9; fso "alu_d" 0; fso "alu_a" 1; fso "alu_b" 2 ]
-        "addf" Rtl.A_add;
-      alu3 ~set_flags:true ~phase:0 ~unit_:"alu"
-        ~fields:[ fs "alu_op" 10; fso "alu_d" 0; fso "alu_a" 1; fso "alu_b" 2 ]
-        "subf" Rtl.A_sub;
-      alu3 ~phase:0 ~unit_:"alu" ~fields:(alu_fields Rtl.A_sub) "sub" Rtl.A_sub;
-      alu3 ~phase:0 ~unit_:"alu" ~fields:(alu_fields Rtl.A_and) "and" Rtl.A_and;
-      alu3 ~phase:0 ~unit_:"alu" ~fields:(alu_fields Rtl.A_or) "or" Rtl.A_or;
-      alu3 ~phase:0 ~unit_:"alu" ~fields:(alu_fields Rtl.A_xor) "xor" Rtl.A_xor;
-      not_ ~phase:0 ~unit_:"alu"
-        ~fields:[ fs "alu_op" 7; fso "alu_d" 0; fso "alu_a" 1 ]
-        "not";
-      neg ~phase:0 ~unit_:"alu"
-        ~fields:[ fs "alu_op" 8; fso "alu_d" 0; fso "alu_a" 1 ]
-        "neg";
-      shift_imm ~amt_width:4 ~phase:0 ~unit_:"sh" ~fields:(sh_fields Rtl.A_shl)
-        "shl" Rtl.A_shl;
-      shift_imm ~amt_width:4 ~phase:0 ~unit_:"sh" ~fields:(sh_fields Rtl.A_shr)
-        "shr" Rtl.A_shr;
-      shift_imm ~set_flags:true ~amt_width:4 ~phase:0 ~unit_:"sh"
-        ~fields:[ fs "sh_op" 6; fso "sh_d" 0; fso "sh_s" 1; fso "sh_amt" 2 ]
-        "shrf" Rtl.A_shr;
-      inc ~phase:0 ~unit_:"ctr"
-        ~fields:[ fs "ctr_op" 1; fso "ctr_d" 0; fso "ctr_s" 1 ]
-        "inc";
-      dec ~phase:0 ~unit_:"ctr"
-        ~fields:[ fs "ctr_op" 2; fso "ctr_d" 0; fso "ctr_s" 1 ]
-        "dec";
-      test ~phase:0 ~unit_:"ctr" ~fields:[ fs "ctr_op" 3; fso "ctr_s" 0 ]
-        "test";
-      rd ~mar:"MAR" ~mbr:"MBR" ~phase:1 ~unit_:"mem" ~fields:[ fs "mem" 1 ]
-        ~extra:1 "rd";
-      wr ~mar:"MAR" ~mbr:"MBR" ~phase:1 ~unit_:"mem" ~fields:[ fs "mem" 2 ]
-        ~extra:1 "wr";
-      rdr ~phase:1 ~unit_:"mem"
-        ~fields:[ fs "mem" 3; fso "mem_d" 0; fso "mem_a" 1 ]
-        ~extra:1 "rdr";
-      wrr ~phase:1 ~unit_:"mem"
-        ~fields:[ fs "mem" 4; fso "mem_a" 0; fso "mem_d" 1 ]
-        ~extra:1 "wrr";
-      nop "nop";
-      intack ~phase:0 ~fields:[ fs "misc" 1 ] "intack";
-    ]
+    List.map
+      (get_template Machines.hp3)
+      [
+        "mov"; "ldc"; "add"; "adc"; "addf"; "subf"; "sub"; "and"; "or"; "xor";
+        "not"; "neg"; "shl"; "shr"; "shrf"; "inc"; "dec"; "test"; "rd"; "wr";
+        "rdr"; "wrr"; "nop"; "intack";
+      ]
   in
   make
     ~name:(Printf.sprintf "SWP%d" nregs)

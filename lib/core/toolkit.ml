@@ -219,8 +219,8 @@ let assemble (d : Desc.t) src =
   let labels = Hashtbl.fold (fun k v acc -> (k, v) :: acc) labels [] in
   of_insts Yalll d insts labels None
 
-let load ?(mem_words = 4096) ?trap_mode (c : compiled) =
-  let sim = Sim.create ?trap_mode ~mem_words c.c_machine in
+let load ?trap_mode (c : compiled) =
+  let sim = Sim.create ?trap_mode c.c_machine in
   Sim.load_store sim c.c_insts;
   sim
 

@@ -135,7 +135,7 @@ val assemble : Desc.t -> string -> compiled
 (** Assemble hand-written microcode (see {!Msl_machine.Masm}), with the
     same metrics. *)
 
-val load : ?mem_words:int -> ?trap_mode:Sim.trap_mode -> compiled -> Sim.t
+val load : ?trap_mode:Sim.trap_mode -> compiled -> Sim.t
 
 val run_status :
   ?engine:engine -> ?fuel:int -> ?setup:(Sim.t -> unit) -> compiled ->

@@ -55,20 +55,6 @@ type sem =
   | S_nop
   | S_special of string  (* machine-specific (push/pop/new-block ...) *)
 
-let sem_name = function
-  | S_move -> "move"
-  | S_const -> "const"
-  | S_binop op -> Rtl.abinop_name op
-  | S_not -> "not"
-  | S_neg -> "neg"
-  | S_inc -> "inc"
-  | S_dec -> "dec"
-  | S_mem_read -> "mem_read"
-  | S_mem_write -> "mem_write"
-  | S_test -> "test"
-  | S_nop -> "nop"
-  | S_special s -> "special:" ^ s
-
 type template = {
   t_name : string;  (* mnemonic, unique within the machine *)
   t_sem : sem;
@@ -342,15 +328,12 @@ let make ~name ~word ~addr ~phases ~regs ~units ~fields ~templates ~cond_caps
       t_by_name;
     }
 
-(* Convenience constructors used by the machine model files. *)
+(* Convenience constructors for descriptions built in OCaml (Sweeper, tests). *)
 let mkreg ?(classes = [ "gpr" ]) ?(macro = false) id name width =
   { r_id = id; r_name = name; r_width = width; r_classes = classes;
     r_macro = macro }
 
-let opread ?(name = "src") cls = { o_name = name; o_kind = O_reg cls; o_role = Read }
 let opwrite ?(name = "dst") cls = { o_name = name; o_kind = O_reg cls; o_role = Write }
-let oprw ?(name = "acc") cls = { o_name = name; o_kind = O_reg cls; o_role = Read_write }
-let opimm ?(name = "imm") w = { o_name = name; o_kind = O_imm w; o_role = Read }
 
 let pp_cond d ppf = function
   | C_flag (f, v) ->

@@ -59,8 +59,6 @@ type sem =
   | S_nop
   | S_special of string  (** machine-specific (push/pop/orh/addf ...) *)
 
-val sem_name : sem -> string
-
 (** A microoperation template: one operation the machine can place in a
     microinstruction. *)
 type template = {
@@ -181,9 +179,6 @@ val word_bits : t -> int
 (** {1 Authoring helpers} *)
 
 val mkreg : ?classes:string list -> ?macro:bool -> int -> string -> int -> reg
-val opread : ?name:string -> string -> operand_spec
 val opwrite : ?name:string -> string -> operand_spec
-val oprw : ?name:string -> string -> operand_spec
-val opimm : ?name:string -> int -> operand_spec
 
 val pp_cond : t -> Format.formatter -> cond -> unit

@@ -132,11 +132,6 @@ let op_field_values op =
 let inst_extra_cycles inst =
   List.fold_left (fun acc op -> max acc (op_extra_cycles op)) 0 inst.ops
 
-let next_targets = function
-  | Next | Return | Halt -> []
-  | Jump a | Branch (_, a) | Call a -> [ a ]
-  | Dispatch { base; _ } -> [ base ]
-
 (* -- printing ------------------------------------------------------------ *)
 
 let pp_arg d ppf = function

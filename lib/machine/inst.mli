@@ -51,8 +51,6 @@ val op_field_values : op -> (string * int) list
 val inst_extra_cycles : t -> int
 (** Largest stall among the instruction's ops. *)
 
-val next_targets : next -> int list
-
 (** {1 Printing} *)
 
 val pp_arg : Desc.t -> Format.formatter -> arg -> unit

@@ -13,8 +13,8 @@
    [Int_ack] action.  Microtraps: a memory access to an absent page aborts
    the current microinstruction (its phase's writes are discarded), services
    the fault, and — per the survey's restart model — resumes at the
-   *restart point* of the microprogram, reproducing the double-increment
-   hazard of the survey's `incread` example. *)
+   *restart point* of the microprogram, word 0, reproducing the
+   double-increment hazard of the survey's `incread` example. *)
 
 open Msl_bitvec
 module Diag = Msl_util.Diag
@@ -47,16 +47,17 @@ type t = {
   mutable int_latency_max : int;
   (* microtraps *)
   trap_mode : trap_mode;
-  fault_penalty : int;
-  mutable restart_pc : int;
   mutable traps_taken : int;
-  mutable trace : bool;
 }
 
 let flag_index = function Rtl.C -> 0 | Rtl.V -> 1 | Rtl.Z -> 2 | Rtl.N -> 3 | Rtl.U -> 4
 
-let create ?(mem_words = 4096) ?(trap_mode = Fault_is_error)
-    ?(fault_penalty = 200) (desc : Desc.t) =
+(* Main-memory size in words, and the cycles one serviced page fault
+   costs in [Restart] mode. *)
+let mem_words = 4096
+let fault_penalty = 200
+
+let create ?(trap_mode = Fault_is_error) (desc : Desc.t) =
   {
     desc;
     regs =
@@ -77,10 +78,7 @@ let create ?(mem_words = 4096) ?(trap_mode = Fault_is_error)
     int_latency_total = 0;
     int_latency_max = 0;
     trap_mode;
-    fault_penalty;
-    restart_pc = 0;
     traps_taken = 0;
-    trace = false;
   }
 
 let desc t = t.desc
@@ -97,8 +95,6 @@ let interrupt_latency_stats t =
   else
     (float_of_int t.int_latency_total /. float_of_int t.int_serviced,
      t.int_latency_max)
-
-let set_trace t b = t.trace <- b
 
 let get_reg t name = t.regs.((Desc.get_reg t.desc name).Desc.r_id)
 let get_reg_id t id = t.regs.(id)
@@ -132,14 +128,11 @@ let load_store t insts =
 let schedule_interrupts t cycles_list =
   t.int_schedule <- List.sort compare cycles_list
 
-let set_restart_pc t pc = t.restart_pc <- pc
-
 (* Back to the post-[create]+[load_store] state without re-decoding the
    program: the store survives, and every piece of mutable state is reset
    in place (the compiled engine's closures capture the register, flag
    and memory arrays, so swapping them out would silently detach it).
-   Configuration — trap mode, fault penalty, restart pc, debug trace —
-   is kept: it describes the machine and harness, not the run. *)
+   The trap mode is kept: it describes the harness, not the run. *)
 let reset t =
   Array.iteri
     (fun i (r : Desc.reg) -> t.regs.(i) <- Bitvec.zero r.Desc.r_width)
@@ -321,7 +314,7 @@ let service_page_fault t addr =
          values survive (the macroarchitecture saves and restores
          them), which is precisely the survey's incread hazard. *)
       t.traps_taken <- t.traps_taken + 1;
-      t.cycles <- t.cycles + t.fault_penalty;
+      t.cycles <- t.cycles + fault_penalty;
       if Trace.enabled () then
         Trace.instant ~cat:"sim" "microtrap"
           ~args:
@@ -331,7 +324,7 @@ let service_page_fault t addr =
               ("cycle", Trace.A_int t.cycles);
             ];
       Memory.mark_present t.mem ~page:(Memory.page_of t.mem addr);
-      t.mpc <- t.restart_pc;
+      t.mpc <- 0;
       t.call_stack <- []
 
 let step t =
@@ -342,8 +335,6 @@ let step t =
       Diag.error Diag.Execution "micro PC %d outside control store (size %d)"
         t.mpc (Array.length t.store);
     let inst = t.store.(t.mpc) in
-    if t.trace then
-      Fmt.epr "@[<h>%4d: %a@]@." t.mpc (Inst.pp t.desc) inst;
     let by_phase p =
       List.filter (fun op -> Inst.op_phase op = p) inst.Inst.ops
     in
@@ -477,7 +468,6 @@ module Engine = struct
 
   let add_cycles t n = t.cycles <- t.cycles + n
   let bump_insts t = t.insts_executed <- t.insts_executed + 1
-  let debug_trace t = t.trace
 
   let has_interrupt_work t = t.int_schedule <> []
   let deliver_interrupts = deliver_interrupts

@@ -12,10 +12,12 @@
     [Int_ack] action, with service latency recorded.  Microtraps: a memory
     access to an absent page aborts the current word (its phase's writes
     are discarded), services the fault and — in [Restart] mode — resumes
-    at the restart point, reproducing the survey's [incread] hazard. *)
+    at word 0, reproducing the survey's [incread] hazard. *)
 
 type trap_mode =
-  | Restart  (** service the fault, restart the microprogram *)
+  | Restart
+      (** service the fault (200 cycles), restart the microprogram at
+          word 0 *)
   | Fault_is_error  (** surface the fault as a diagnostic *)
 
 type status = Halted | Out_of_fuel
@@ -25,11 +27,9 @@ type t
 val flag_index : Rtl.flag -> int
 (** Stable numbering of the five condition flags (used by the encoder). *)
 
-val create : ?mem_words:int -> ?trap_mode:trap_mode -> ?fault_penalty:int ->
-  Desc.t -> t
-(** Fresh machine state: registers zero, all memory pages present.
-    [mem_words] defaults to 4096, [fault_penalty] (cycles per serviced
-    page fault) to 200. *)
+val create : ?trap_mode:trap_mode -> Desc.t -> t
+(** Fresh machine state: registers zero, 4096 words of main memory with
+    every page present.  [trap_mode] defaults to [Fault_is_error]. *)
 
 val desc : t -> Desc.t
 val memory : t -> Memory.t
@@ -41,10 +41,10 @@ val load_store : t -> Inst.t list -> unit
 val reset : t -> unit
 (** Back to the freshly-loaded state {e without} touching the store:
     registers, flags and memory zeroed in place, counters and interrupt
-    state cleared, micro PC at 0.  Configuration (trap mode, fault
-    penalty, restart pc, debug trace) survives.  Because the reset is in
-    place, a {!Simc} translation of this simulator stays valid — that is
-    the point: re-run a program without re-paying decode. *)
+    state cleared, micro PC at 0.  The trap mode survives.  Because the
+    reset is in place, a {!Simc} translation of this simulator stays
+    valid — that is the point: re-run a program without re-paying
+    decode. *)
 
 (** {1 Execution} *)
 
@@ -66,8 +66,6 @@ val set_reg_id : t -> int -> Msl_bitvec.Bitvec.t -> unit
 val set_reg_int : t -> string -> int -> unit
 val get_flag : t -> Rtl.flag -> bool
 val set_flag : t -> Rtl.flag -> bool -> unit
-val set_trace : t -> bool -> unit
-(** Print each executed word to stderr. *)
 
 (** {1 Metrics} *)
 
@@ -92,9 +90,6 @@ val interrupts_serviced : t -> int
 
 val interrupt_latency_stats : t -> float * int
 (** (average, maximum) cycles between arrival and acknowledgement. *)
-
-val set_restart_pc : t -> int -> unit
-(** Where [Restart]-mode trap servicing resumes (default 0). *)
 
 (** {1 Differential observation} *)
 
@@ -123,7 +118,6 @@ module Engine : sig
   val pop_call : t -> int option
   val add_cycles : t -> int -> unit
   val bump_insts : t -> unit
-  val debug_trace : t -> bool
 
   val has_interrupt_work : t -> bool
   (** Whether interrupt delivery can still occur (schedule nonempty). *)
@@ -134,7 +128,7 @@ module Engine : sig
 
   val service_page_fault : t -> int -> unit
   (** The shared microtrap path: raises in [Fault_is_error] mode,
-      services and redirects to the restart pc in [Restart] mode. *)
+      services and redirects to word 0 in [Restart] mode. *)
 
   val emit_counters : t -> unit
 end

@@ -1355,9 +1355,6 @@ let compile_word e i (inst : Inst.t) =
         e.n_native <- e.n_native + 1;
         w
     | exception Unsupported ->
-        if Sys.getenv_opt "SIMC_DEBUG" <> None then
-          Printf.eprintf "simc: word %d unsupported: %s\n%!" i
-            (Masm.print (Sim.desc e.sim) [ inst ]);
         e.n_fallback <- e.n_fallback + 1;
         fallback_word e
 
@@ -1457,45 +1454,27 @@ let run ?(fuel = 2_000_000) e =
           ("fuel", Trace.A_int fuel);
         ];
   e.deliver <- Sim.Engine.has_interrupt_work s;
-  let status =
-    if Sim.Engine.debug_trace s then begin
-      (* per-word stderr tracing lives in [Sim.step]: delegate the whole
-         run so the printed stream is the interpreter's own *)
-      let rec loop fuel steps =
-        if Sim.Engine.halted s then Sim.Halted
-        else if fuel <= 0 then Sim.Out_of_fuel
-        else begin
-          Sim.step s;
-          if tracing && steps land 4095 = 0 then Sim.Engine.emit_counters s;
-          loop (fuel - 1) (steps + 1)
-        end
-      in
-      loop fuel 1
-    end
-    else begin
-      sync_in e;
-      relink e;
-      let code = e.code in
-      let loop () =
-        let rec go fuel steps =
-          if Sim.Engine.halted s then Sim.Halted
-          else if fuel <= 0 then Sim.Out_of_fuel
-          else begin
-            (* [next_pc] is always in [0, words]: in-range by [point],
-               or the sentinel slot *)
-            (Array.unsafe_get code e.next_pc) ();
-            if tracing && steps land 4095 = 0 then Sim.Engine.emit_counters s;
-            go (fuel - 1) (steps + 1)
-          end
-        in
-        go fuel 1
-      in
-      (* the sync-out must also run when the program raises (a microtrap
-         in Fault_is_error mode, an execution diagnostic): the caller
-         observes the interpreter-identical state through [Sim.t] *)
-      Fun.protect ~finally:(fun () -> sync_out e) loop
-    end
+  sync_in e;
+  relink e;
+  let code = e.code in
+  let loop () =
+    let rec go fuel steps =
+      if Sim.Engine.halted s then Sim.Halted
+      else if fuel <= 0 then Sim.Out_of_fuel
+      else begin
+        (* [next_pc] is always in [0, words]: in-range by [point], or the
+           sentinel slot *)
+        (Array.unsafe_get code e.next_pc) ();
+        if tracing && steps land 4095 = 0 then Sim.Engine.emit_counters s;
+        go (fuel - 1) (steps + 1)
+      end
+    in
+    go fuel 1
   in
+  (* the sync-out must also run when the program raises (a microtrap in
+     Fault_is_error mode, an execution diagnostic): the caller observes
+     the interpreter-identical state through [Sim.t] *)
+  let status = Fun.protect ~finally:(fun () -> sync_out e) loop in
   if tracing then begin
     Sim.Engine.emit_counters s;
     Trace.span_end ~cat:"simc" "execute"

@@ -9,9 +9,9 @@
     [Sim.Engine]), preserves the phase-ordered transport-delay write
     model and its commit order, shares the microtrap servicing, and
     falls back to {!Sim.step} for any word containing [Int_ack] (the
-    interrupt-service boundary) and for per-word debug tracing.  The
-    differential oracle in [test/test_engine_diff.ml] holds both
-    engines to byte-identical {!Sim.state_digest}s.
+    interrupt-service boundary).  The differential oracle in
+    [test/test_engine_diff.ml] holds both engines to byte-identical
+    {!Sim.state_digest}s.
 
     Typical use: [Toolkit.load] a program, {!translate} once, then
     {!run} — and {!Sim.reset} + {!run} again without re-paying

@@ -29,10 +29,4 @@ let finish b term =
 
 let start b label = b.cur_label <- label
 
-(* Close the current block with a jump to a fresh label and open it. *)
-let branch_to_fresh b mk_term =
-  let l = fresh_label b in
-  finish b (mk_term l);
-  start b l
-
 let blocks b = List.rev b.blocks

@@ -16,9 +16,5 @@ val finish : t -> Mir.term -> unit
 
 val start : t -> string -> unit
 
-val branch_to_fresh : t -> (string -> Mir.term) -> unit
-(** Close the current block with a terminator aimed at a fresh label, and
-    open that label. *)
-
 val blocks : t -> Mir.block list
 (** All finished blocks, in creation order. *)

@@ -96,10 +96,6 @@ let stmt_effects (s : Mir.stmt) : effects =
         e_removable = false;
       }
 
-let stmt_has_side_effect s =
-  let e = stmt_effects s in
-  e.e_mem_write || e.e_sets_flags || e.e_barrier
-
 (* -- the graph -------------------------------------------------------------- *)
 
 type node = {

@@ -24,9 +24,6 @@ type effects = {
 
 val stmt_effects : Mir.stmt -> effects
 
-val stmt_has_side_effect : Mir.stmt -> bool
-(** Memory write, flag write or barrier: visible beyond the registers. *)
-
 (** {1 The graph} *)
 
 type node = {

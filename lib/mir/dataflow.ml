@@ -16,15 +16,6 @@ type ekind = Raw | War | Waw | Mem | Flag_raw | Flag_war | Flag_waw
 
 type edge = { e_src : int; e_dst : int; e_kind : ekind }
 
-let ekind_name = function
-  | Raw -> "raw"
-  | War -> "war"
-  | Waw -> "waw"
-  | Mem -> "mem"
-  | Flag_raw -> "flag-raw"
-  | Flag_war -> "flag-war"
-  | Flag_waw -> "flag-waw"
-
 let inter a b = List.exists (fun x -> List.mem x b) a
 
 (* -- dependence over machine microoperations ----------------------------- *)

@@ -10,8 +10,6 @@ type ekind = Raw | War | Waw | Mem | Flag_raw | Flag_war | Flag_waw
 type edge = { e_src : int; e_dst : int; e_kind : ekind }
 (** Always [e_src < e_dst] in source order. *)
 
-val ekind_name : ekind -> string
-
 (** {1 Over machine microoperations} *)
 
 type op_info = {

@@ -71,8 +71,6 @@ type program = {
   next_vreg : int;
 }
 
-let empty_program = { main = []; procs = []; vreg_names = []; next_vreg = 0 }
-
 (* -- small helpers ------------------------------------------------------- *)
 
 let assign ?(set_flags = false) dst rv = Assign { dst; rv; set_flags }

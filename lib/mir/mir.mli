@@ -72,8 +72,6 @@ type program = {
   next_vreg : int;
 }
 
-val empty_program : program
-
 (** {1 Construction and queries} *)
 
 val assign : ?set_flags:bool -> reg -> rvalue -> stmt

@@ -331,14 +331,11 @@ let mir_passes ~options d ~alloc_stats =
         p');
   ]
 
-(* Every pass name compile can run, in pipeline order (for --dump-after
-   validation and documentation).  The two pseudo-passes cover the
-   machine-dependent back end, which also reports timings. *)
+(* Every middle-end pass name compile can run, in pipeline order (for
+   --dump-after validation and documentation). *)
 let pass_names =
   [ "validate"; "const-fold"; "copy-prop"; "branch-simplify"; "jump-thread";
     "dce"; "lower"; "trapsafe"; "pollpoints"; "regalloc" ]
-
-let backend_pass_names = [ "select+compact"; "superopt"; "link" ]
 
 (* -- entry point -------------------------------------------------------------- *)
 
@@ -420,8 +417,8 @@ let compile ?(options = default_options) ?observe ?capture ?superopt_memo
   (insts, label_map, metrics)
 
 (* Compile and load into a fresh simulator. *)
-let load ?(options = default_options) ?(mem_words = 4096) ?trap_mode d p =
+let load ?(options = default_options) ?trap_mode d p =
   let insts, labels, metrics = compile ~options d p in
-  let sim = Sim.create ?trap_mode ~mem_words d in
+  let sim = Sim.create ?trap_mode d in
   Sim.load_store sim insts;
   (sim, labels, metrics)

@@ -66,9 +66,6 @@ type metrics = {
 val pass_names : string list
 (** Every middle-end pass name {!compile} can run, in pipeline order. *)
 
-val backend_pass_names : string list
-(** The back-end pseudo-passes appearing in [m_timings]. *)
-
 (** A block already lowered to explicit microinstructions with labelled
     targets (the S* entry path). *)
 type linked_block = {
@@ -106,7 +103,6 @@ val compile :
 
 val load :
   ?options:options ->
-  ?mem_words:int ->
   ?trap_mode:Sim.trap_mode ->
   Desc.t ->
   Mir.program ->

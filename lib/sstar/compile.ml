@@ -673,8 +673,8 @@ let compile (d : Desc.t) (p : Ast.program) :
 
 let parse_compile ?file d src = compile d (Parser.parse ?file src)
 
-let load ?(mem_words = 4096) d (p : Ast.program) =
+let load d (p : Ast.program) =
   let insts, labels = compile d p in
-  let sim = Sim.create ~mem_words d in
+  let sim = Sim.create d in
   Sim.load_store sim insts;
   (sim, labels)

@@ -199,43 +199,38 @@ let test_t4_shape () =
     (Core.Experiments.t4_rows ())
 
 let test_t5_shape () =
-  let rows = Core.Experiments.t5_rows () in
-  (* spills decrease monotonically with register count, per strategy *)
-  List.iter
-    (fun strategy ->
-      let mine =
-        List.filter (fun r -> r.Core.Experiments.t5_strategy = strategy) rows
-      in
-      let rec monotone = function
-        | a :: (b :: _ as rest) ->
-            check_bool "spills decrease" true
-              (b.Core.Experiments.t5_spilled <= a.Core.Experiments.t5_spilled);
-            monotone rest
-        | _ -> ()
-      in
-      monotone mine)
-    [ Regalloc.First_fit; Regalloc.Priority ];
-  (* at every size, priority never has more traffic than first-fit *)
-  List.iter
-    (fun n ->
-      let get s =
-        List.find
-          (fun r ->
-            r.Core.Experiments.t5_nregs = n && r.Core.Experiments.t5_strategy = s)
-          rows
-      in
-      check_bool
-        (Printf.sprintf "priority <= first-fit at %d regs" n)
-        true
-        ((get Regalloc.Priority).Core.Experiments.t5_traffic
-        <= (get Regalloc.First_fit).Core.Experiments.t5_traffic))
-    [ 4; 8; 16; 32 ];
-  (* with 256 registers (the CDC 480 end of the survey's range): no spills *)
-  List.iter
-    (fun r ->
-      if r.Core.Experiments.t5_nregs = 256 then
-        check_int "no spills at 256" 0 r.Core.Experiments.t5_spilled)
-    rows
+  (* The exact table, (registers, spilled/traffic first-fit, then
+     priority): spills fall monotonically with register count, priority
+     never moves more than first-fit, and from 64 registers up (the CDC
+     480 end of the survey's range is 256) nothing spills. *)
+  let expected =
+    [
+      (4, (44, 489), (44, 475));
+      (8, (40, 449), (40, 411));
+      (16, (32, 366), (32, 305));
+      (32, (16, 184), (16, 123));
+      (64, (0, 0), (0, 0));
+      (128, (0, 0), (0, 0));
+      (256, (0, 0), (0, 0));
+    ]
+    |> List.concat_map (fun (n, ff, pr) ->
+           [ (n, Regalloc.First_fit, ff); (n, Regalloc.Priority, pr) ])
+  in
+  let got =
+    List.map
+      (fun (r : Core.Experiments.t5_row) ->
+        (r.t5_nregs, r.t5_strategy, (r.t5_spilled, r.t5_traffic)))
+      (Core.Experiments.t5_rows ())
+  in
+  Alcotest.(check int) "row count" (List.length expected) (List.length got);
+  List.iter2
+    (fun (n, s, (sp, tr)) (n', s', (sp', tr')) ->
+      let what = Printf.sprintf "%d regs, %s" n (Regalloc.strategy_name s) in
+      check_int (what ^ ": registers") n n';
+      check_bool (what ^ ": allocator") true (s = s');
+      check_int (what ^ ": spilled") sp sp';
+      check_int (what ^ ": traffic") tr tr')
+    expected got
 
 let test_t6_shape () =
   match Core.Experiments.t6_rows () with

@@ -82,7 +82,8 @@ let test_bad_description_rejected () =
         ~regs:[ Desc.mkreg 0 "R0" 16 ]
         ~units:[ "u" ]
         ~fields:[ { Desc.f_name = "a"; f_lo = 0; f_width = 8 } ]
-        ~templates:[ { (Tmpl.nop "n") with Desc.t_phase = 3 } ]
+        ~templates:
+          [ { (Desc.get_template Machines.hp3 "nop") with Desc.t_phase = 3 } ]
         ~cond_caps:[] ~mem_extra_cycles:0 ~store_words:16 ~vertical:false
         ~scratch_base:0 ~note:"" ())
 

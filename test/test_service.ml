@@ -714,6 +714,32 @@ let test_cache_key_sensitivity () =
     (Msl_util.Fingerprint.equal k
        (Service.cache_key { base with Service.j_id = "renamed" }))
 
+(* The in-process entry points key on the description's digest, not its
+   name: HP3 with a slower memory is a different machine that happens to
+   share the name, and must get its own compile. *)
+let test_same_name_distinct_machines () =
+  let svc = Service.create ~domains:1 () in
+  let source =
+    In_channel.with_open_bin "../examples/sum_loop.yll" In_channel.input_all
+  in
+  let slow =
+    Mdesc.to_source Machines.hp3
+    |> String.split_on_char '\n'
+    |> List.map (fun l ->
+           if String.trim l = "mem_extra 1" then "  mem_extra 2" else l)
+    |> String.concat "\n"
+    |> Mdesc.parse ~file:"hp3.mdesc"
+  in
+  Alcotest.(check string) "same name" Machines.hp3.Desc.d_name slow.Desc.d_name;
+  let c = Service.compile_cached svc Toolkit.Yalll Machines.hp3 source in
+  let c' = Service.compile_cached svc Toolkit.Yalll slow source in
+  Alcotest.(check bool) "first compile is on hp3" true
+    (c.Toolkit.c_machine == Machines.hp3);
+  Alcotest.(check bool) "second compile is on the variant" true
+    (c'.Toolkit.c_machine == slow);
+  Alcotest.(check int) "both were misses" 2
+    (Service.stats svc).Service.st_misses
+
 (* The options half of the key is Pipeline.options_id, an exhaustive
    record-to-string: vary every single field of Pipeline.options and
    check no two of the resulting records share a cache key.  This is
@@ -1296,6 +1322,8 @@ let () =
           Alcotest.test_case "key sensitivity" `Quick test_cache_key_sensitivity;
           Alcotest.test_case "every options field keys distinctly" `Quick
             test_options_key_exhaustive;
+          Alcotest.test_case "same-named machines keyed apart" `Quick
+            test_same_name_distinct_machines;
           Alcotest.test_case "errors surface and are not cached" `Quick
             test_error_outcome;
         ] );
