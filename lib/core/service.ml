@@ -709,8 +709,7 @@ let diff_gate (c : Toolkit.compiled) =
    recompiles to capture one.  S* programs bypass compaction entirely:
    nothing to validate, the gate passes.  Strict on purpose: REFUTED and
    UNKNOWN both fail, so a clean gated batch certifies that every block
-   was proved (or dynamically revalidated), not merely that none was
-   refuted. *)
+   was proved, not merely that none was refuted. *)
 let validate_gate (j : job) proof (c : Toolkit.compiled) =
   if not (proves j) then None
   else

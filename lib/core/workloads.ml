@@ -622,7 +622,6 @@ let inject_defect d ~seed defect insts =
    word may be dead). *)
 
 module Tv = Msl_mir.Tv
-module Udiag = Msl_util.Diag
 
 type miscompile = M_swap_dep | M_drop_word | M_retarget | M_perturb_operand
 
@@ -741,23 +740,8 @@ let perturb_mutants (d : Desc.t) insts =
 (* Differential probe: does the mutant observably diverge from the
    original on some seeded input store?  Returns that store. *)
 let miscompile_probe (d : Desc.t) ~seed original mutant =
-  let run insts a =
-    try
-      let sim = Sim.create ~trap_mode:Sim.Fault_is_error d in
-      Sim.load_store sim insts;
-      Tv.apply_assignment d sim a;
-      let status =
-        match Sim.run ~fuel:4096 sim with
-        | Sim.Halted -> "halted\n"
-        | Sim.Out_of_fuel -> "fuel\n"
-      in
-      status ^ Tv.arch_digest d sim
-    with
-    | Udiag.Error di -> "fault:" ^ di.Udiag.message
-    | Invalid_argument m -> "fault:" ^ m
-  in
   Tv.seeded_assignments d ~seed ~n:4
-  |> List.find_opt (fun a -> run original a <> run mutant a)
+  |> List.find_opt (fun a -> Tv.replay d original a <> Tv.replay d mutant a)
 
 let inject_miscompile (d : Desc.t) ~seed kind insts =
   let mutants =

@@ -108,17 +108,16 @@ val inject_miscompile :
 (** Deterministically mutate a compiled program, the seed rotating the
     site order.  Every returned mutant is probe-confirmed: the returned
     witness store (symbolic variable naming, replayable through
-    {!Msl_mir.Tv.apply_assignment}) makes a differential run against the
-    original diverge in architectural state.  [None] when no site yields
-    an observable divergence — a swapped pair may commute, a dropped word
-    may be dead. *)
+    {!Msl_mir.Tv.replay}) makes the mutant's replay differ from the
+    original's.  [None] when no site yields an observable divergence — a
+    swapped pair may commute, a dropped word may be dead. *)
 
 val miscompile_probe :
   Msl_machine.Desc.t -> seed:int ->
   Msl_machine.Inst.t list -> Msl_machine.Inst.t list ->
   (string * Msl_bitvec.Bitvec.t) list option
 (** Differential probe behind {!inject_miscompile}: the first of four
-    seeded input stores on which the two programs' halt status or
-    architectural digest diverge, if any.  Also gates which
-    {!inject_defect} mutants are dynamically observable (a linted defect
-    need not change behaviour). *)
+    seeded input stores on which the two programs' {!Msl_mir.Tv.replay}s
+    differ, if any.  Also gates which {!inject_defect} mutants are
+    dynamically observable (a linted defect need not change
+    behaviour). *)

@@ -333,8 +333,6 @@ let mkreg ?(classes = [ "gpr" ]) ?(macro = false) id name width =
   { r_id = id; r_name = name; r_width = width; r_classes = classes;
     r_macro = macro }
 
-let opwrite ?(name = "dst") cls = { o_name = name; o_kind = O_reg cls; o_role = Write }
-
 let pp_cond d ppf = function
   | C_flag (f, v) ->
       Fmt.pf ppf "%s%s" (if v then "" else "!") (Rtl.flag_name f)

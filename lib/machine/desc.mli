@@ -179,6 +179,5 @@ val word_bits : t -> int
 (** {1 Authoring helpers} *)
 
 val mkreg : ?classes:string list -> ?macro:bool -> int -> string -> int -> reg
-val opwrite : ?name:string -> string -> operand_spec
 
 val pp_cond : t -> Format.formatter -> cond -> unit

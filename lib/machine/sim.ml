@@ -414,18 +414,10 @@ let run ?(fuel = 2_000_000) t =
 (* One line per observable fact, so a differential failure diffs cleanly.
    Everything an engine could get wrong is here: architectural state,
    timing, the interrupt latency accounting, trap and memory traffic
-   counters.  Memory is listed sparsely (nonzero words only). *)
-let state_digest t =
-  let b = Buffer.create 512 in
-  Printf.bprintf b "pc=%d halted=%b cycles=%d insts=%d\n" t.mpc t.halted
-    t.cycles t.insts_executed;
-  Printf.bprintf b "traps=%d polls=%d serviced=%d latency=%d/%d pending=%b\n"
-    t.traps_taken t.int_polls t.int_serviced t.int_latency_total
-    t.int_latency_max t.int_pending;
-  Printf.bprintf b "mem reads=%d writes=%d faults=%d\n" (Memory.reads t.mem)
-    (Memory.writes t.mem) (Memory.faults t.mem);
-  Printf.bprintf b "stack=%s\n"
-    (String.concat "," (List.map string_of_int t.call_stack));
+   counters.  Memory is listed sparsely (nonzero words only).  The
+   architectural lines (registers, flags, memory) come last, so
+   [arch_digest] is exactly the tail of [state_digest]. *)
+let add_arch_digest b t =
   Array.iteri
     (fun i v ->
       Printf.bprintf b "%s=%s\n" (Desc.reg_name t.desc i) (Bitvec.to_string v))
@@ -440,7 +432,25 @@ let state_digest t =
     let v = Memory.peek t.mem a in
     if not (Bitvec.is_zero v) then
       Printf.bprintf b "m[%d]=%s\n" a (Bitvec.to_string v)
-  done;
+  done
+
+let arch_digest t =
+  let b = Buffer.create 256 in
+  add_arch_digest b t;
+  Buffer.contents b
+
+let state_digest t =
+  let b = Buffer.create 512 in
+  Printf.bprintf b "pc=%d halted=%b cycles=%d insts=%d\n" t.mpc t.halted
+    t.cycles t.insts_executed;
+  Printf.bprintf b "traps=%d polls=%d serviced=%d latency=%d/%d pending=%b\n"
+    t.traps_taken t.int_polls t.int_serviced t.int_latency_total
+    t.int_latency_max t.int_pending;
+  Printf.bprintf b "mem reads=%d writes=%d faults=%d\n" (Memory.reads t.mem)
+    (Memory.writes t.mem) (Memory.faults t.mem);
+  Printf.bprintf b "stack=%s\n"
+    (String.concat "," (List.map string_of_int t.call_stack));
+  add_arch_digest b t;
   Buffer.contents b
 
 (* -- engine access ------------------------------------------------------- *)

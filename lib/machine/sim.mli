@@ -101,6 +101,12 @@ val state_digest : t -> string
     program correctly produce byte-identical digests — the contract the
     differential oracle checks. *)
 
+val arch_digest : t -> string
+(** The architectural state alone: the register, flag and nonzero-memory
+    lines that end {!state_digest}.  It leaves out the pc, cycle, trap
+    and traffic counters, which legitimately differ between a compacted
+    program and its sequential reference. *)
+
 (** {1 Engine internals}
 
     Mutable-state access for {!Simc}, the compiled engine.  Not a stable

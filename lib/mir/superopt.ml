@@ -75,10 +75,6 @@ type memo = {
   memo_add : string -> string -> unit;
 }
 
-(* Only a full symbolic proof is accepted; the dynamic fallback is
-   evidence, not a proof, so it is off here. *)
-let tv_config = { Tv.default_config with Tv.tv_dynamic = false }
-
 (* Windows ending mid-block continue into the same following words on
    both sides; a reserved label no frontend can produce pairs those
    fall-off outcomes. *)
@@ -158,15 +154,14 @@ let lint_ok d ~reference ~candidate =
   races candidate <= races reference && enc candidate <= enc reference
 
 let proved d ~fall_ref ~fall_cand ~reference ~candidate =
-  Tv.validate_rewrite ~config:tv_config d ~fall_ref ~fall_cand ~reference
-    ~candidate
+  Tv.validate_rewrite d ~fall_ref ~fall_cand ~reference ~candidate
   = Tv.Validated
 
 (* Replay an accepted rewrite's proof obligation — what the validate
    gates and the tests call on everything [observe] reported. *)
 let replay d (rw : rewrite) =
-  Tv.validate_rewrite ~config:tv_config d ~fall_ref:rw.rw_fall_ref
-    ~fall_cand:rw.rw_fall_cand ~reference:rw.rw_ref ~candidate:rw.rw_cand
+  Tv.validate_rewrite d ~fall_ref:rw.rw_fall_ref ~fall_cand:rw.rw_fall_cand
+    ~reference:rw.rw_ref ~candidate:rw.rw_cand
 
 (* Gate one candidate: proof first, then lint.  On acceptance the
    rewrite record goes to the observer (the batch validate gate and the

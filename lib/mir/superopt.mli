@@ -75,8 +75,8 @@ type memo = {
 
 val replay : Desc.t -> rewrite -> Tv.verdict
 (** Re-discharge an accepted rewrite's proof obligation, exactly as the
-    acceptance gate did (no dynamic fallback).  Must return [Validated]
-    for anything [run] reported through [observe]. *)
+    acceptance gate did.  Must return [Validated] for anything [run]
+    reported through [observe]. *)
 
 val run :
   ?memo:memo ->

@@ -13,16 +13,13 @@
 
    Unlike Microlint, which re-derives the *resource* discipline, this pass
    checks the *dataflow* semantics — it is the static analogue of the
-   PR 6 differential oracle, and the per-rewrite validator a future
-   superoptimizing compactor searches against.  Verdicts:
+   engine differential oracle, and the proof gate the superoptimizer's
+   rewrites must pass.  Verdicts:
 
      VALIDATED          proved equal on every exit
      REFUTED            provably different, usually with a concrete
                         counterexample store
-     UNKNOWN            decision budget exhausted; with [tv_dynamic] the
-                        block falls back to the differential oracle
-                        (seeded concrete runs through [Sim]) which can
-                        upgrade to REFUTED or to a dynamic VALIDATED *)
+     UNKNOWN            decision budget exhausted; nothing was proved *)
 
 open Msl_machine
 open Msl_bitvec
@@ -39,26 +36,15 @@ type artifact = {
   a_mis : (Inst.op list * Select.lnext) list;
 }
 
-type config = {
-  tv_budget_bits : int;  (* exhaustive-enumeration budget (live input bits) *)
-  tv_samples : int;  (* sampled stores before giving up *)
-  tv_seed : int;
-  tv_dynamic : bool;  (* UNKNOWN falls back to the differential oracle *)
-}
-
-let default_config =
-  { tv_budget_bits = 16; tv_samples = 64; tv_seed = 0; tv_dynamic = true }
-
 type verdict =
   | Validated
-  | Validated_dynamic  (* only the dynamic fallback agreed — not a proof *)
   | Refuted of Symexec.assignment option  (* None: structural mismatch *)
   | Unknown
 
 type result = {
   v_total : int;
   v_validated : int;
-  v_dynamic : int;
+  v_dynamic : int;  (* always 0: every validated block was proved *)
   v_refuted : int;
   v_unknown : int;
   v_findings : Diag.finding list;
@@ -119,46 +105,16 @@ let reference_words (a : artifact) =
   List.map (fun op -> ([ op ], Select.L_next)) a.a_body
   @ List.map (fun t -> (t.Select.t_ops, t.Select.t_next)) a.a_tail
 
-let compare_exit config ((e1, s1), (e2, s2)) =
+let compare_exit ((e1, s1), (e2, s2)) =
   if e1 <> e2 then `Structural
   else if s1.Symexec.st_acks <> s2.Symexec.st_acks then `Structural
   else
-    match
-      Symexec.decide ~budget_bits:config.tv_budget_bits
-        ~samples:config.tv_samples ~seed:config.tv_seed
-        (Symexec.store_pairs s1 s2)
-    with
+    match Symexec.decide (Symexec.store_pairs s1 s2) with
     | Symexec.Proved -> `Eq
     | Symexec.Refuted cx -> `Refuted cx
     | Symexec.Unknown -> `Unknown
 
-(* -- the dynamic fallback -------------------------------------------------- *)
-
-(* Architectural state only: the pc/cycle/traffic counters in
-   [Sim.state_digest] legitimately differ between a compacted word list
-   and its sequential reference. *)
-let arch_digest (d : Desc.t) sim =
-  let b = Buffer.create 256 in
-  Array.iter
-    (fun (r : Desc.reg) ->
-      Buffer.add_string b r.Desc.r_name;
-      Buffer.add_char b '=';
-      Buffer.add_string b (Bitvec.to_string (Sim.get_reg_id sim r.Desc.r_id));
-      Buffer.add_char b '\n')
-    d.Desc.d_regs;
-  List.iter
-    (fun f ->
-      Buffer.add_string b (Rtl.flag_name f);
-      Buffer.add_char b (if Sim.get_flag sim f then '1' else '0'))
-    Rtl.all_flags;
-  Buffer.add_char b '\n';
-  let mem = Sim.memory sim in
-  for a = 0 to Memory.size mem - 1 do
-    let v = Memory.peek mem a in
-    if not (Bitvec.is_zero v) then
-      Buffer.add_string b (Printf.sprintf "m%d=%s\n" a (Bitvec.to_string v))
-  done;
-  Buffer.contents b
+(* -- concrete replay --------------------------------------------------------- *)
 
 (* Seeded concrete input stores, as assignments over the same variable
    names the symbolic walk uses — store 0 is all-zeros, so a divergence
@@ -212,96 +168,31 @@ let apply_assignment (d : Desc.t) sim (cx : Symexec.assignment) =
       | _ -> ())
     cx
 
-(* Straight-line a word list for concrete word-by-word replay: every
-   control becomes fall-through and the program ends in Halt, because the
-   store comparison at each exit index is the only thing left to check —
-   targets and conditions were already compared structurally.  Returns
-   the instruction list and the exit-aligned word indices, or None when
-   the list contains a call (havocked effects cannot be replayed) or a
-   dispatch. *)
-let straight_line (words : (Inst.op list * Select.lnext) list) =
-  let exception Unsupported in
+(* Replay one input store through a linked program on the interpreter:
+   the halt status line and the architectural digest, or [fault:...] when
+   the run stops on a fault.  Mutated programs can carry register ids the
+   description does not have; [Sim] stops on those with
+   [Invalid_argument], which is a fault like any other here. *)
+let replay (d : Desc.t) insts (a : Symexec.assignment) =
   try
-    let n = List.length words in
-    let insts = ref [] and idxs = ref [] in
-    let stop = ref false in
-    List.iteri
-      (fun i (ops, next) ->
-        if not !stop then begin
-          insts := { Inst.ops; next = Inst.Next } :: !insts;
-          match next with
-          | Select.L_next -> if i = n - 1 then idxs := i :: !idxs
-          | Select.L_branch _ ->
-              idxs := i :: !idxs;
-              if i = n - 1 then idxs := i :: !idxs
-          | Select.L_goto _ | Select.L_return | Select.L_halt ->
-              idxs := i :: !idxs;
-              stop := true
-          | Select.L_call _ | Select.L_dispatch _ -> raise Unsupported
-        end)
-      words;
-    let insts = List.rev (({ Inst.ops = []; next = Inst.Halt }) :: !insts) in
-    Some (insts, List.rev !idxs)
-  with Unsupported -> None
-
-(* Run one straight-lined program from one input assignment, returning
-   the digest at each exit index (a fault stops the run; remaining exits
-   observe the fault token — identical behaviour diverging identically is
-   still agreement). *)
-let run_digests (d : Desc.t) insts idxs cx =
-  let sim = Sim.create ~trap_mode:Sim.Fault_is_error d in
-  Sim.load_store sim insts;
-  apply_assignment d sim cx;
-  let nwords = List.length insts in
-  let digests = ref [] in
-  let fill token =
-    let have = List.length !digests in
-    let want = List.length idxs in
-    for _ = have + 1 to want do
-      digests := token :: !digests
-    done
-  in
-  (try
-     for i = 0 to nwords - 1 do
-       Sim.step sim;
-       if List.mem i idxs then
-         (* a word can carry several exits (branch at the end) *)
-         List.iter
-           (fun j -> if j = i then digests := arch_digest d sim :: !digests)
-           idxs
-     done
-   with
-   | Udiag.Error di -> fill ("fault:" ^ di.Udiag.message)
-   | Invalid_argument m ->
-       (* mutated programs can carry register ids the description does
-          not have; [Sim] stops on them with [Invalid_argument] *)
-       fill ("fault:" ^ m));
-  List.rev !digests
-
-(* The differential-oracle fallback for one block: seeded concrete runs
-   of both word lists through the interpreter.  Sound for refutation;
-   agreement is only the dynamic verdict. *)
-let dynamic_check config (d : Desc.t) ref_words cand_words =
-  match (straight_line ref_words, straight_line cand_words) with
-  | Some (ri, rx), Some (ci, cx) -> (
-      let stores = seeded_assignments d ~seed:config.tv_seed ~n:4 in
-      try
-        let diverging =
-          List.find_opt
-            (fun a -> run_digests d ri rx a <> run_digests d ci cx a)
-            stores
-        in
-        match diverging with
-        | Some a -> Refuted (Some a)
-        | None -> Validated_dynamic
-      with Udiag.Error _ | Invalid_argument _ -> Unknown)
-  | _ -> Unknown
+    let sim = Sim.create ~trap_mode:Sim.Fault_is_error d in
+    Sim.load_store sim insts;
+    apply_assignment d sim a;
+    let status =
+      match Sim.run ~fuel:4096 sim with
+      | Sim.Halted -> "halted\n"
+      | Sim.Out_of_fuel -> "fuel\n"
+    in
+    status ^ Sim.arch_digest sim
+  with
+  | Udiag.Error di -> "fault:" ^ di.Udiag.message
+  | Invalid_argument m -> "fault:" ^ m
 
 (* -- per-block validation --------------------------------------------------- *)
 
-let validate_words ?(config = default_config) d ~reference ~candidate =
+let validate_words d ~reference ~candidate =
   let ctx = Symexec.create_ctx () in
-  match
+  try
     let ref_exits = walk ctx d reference in
     let cand_exits = walk ctx d candidate in
     if List.length ref_exits <> List.length cand_exits then Refuted None
@@ -310,7 +201,7 @@ let validate_words ?(config = default_config) d ~reference ~candidate =
       let rec cmp = function
         | [] -> if !unknown then Unknown else Validated
         | pair :: rest -> (
-            match compare_exit config pair with
+            match compare_exit pair with
             | `Eq -> cmp rest
             | `Structural -> Refuted None
             | `Refuted cx -> Refuted (Some cx)
@@ -320,14 +211,10 @@ let validate_words ?(config = default_config) d ~reference ~candidate =
       in
       cmp (List.combine ref_exits cand_exits)
     end
-  with
-  | Unknown when config.tv_dynamic ->
-      dynamic_check config d reference candidate
-  | v -> v
-  | exception Udiag.Error _ -> Unknown
+  with Udiag.Error _ -> Unknown
 
-let validate_artifact ?config d (a : artifact) =
-  validate_words ?config d ~reference:(reference_words a) ~candidate:a.a_mis
+let validate_artifact d (a : artifact) =
+  validate_words d ~reference:(reference_words a) ~candidate:a.a_mis
 
 (* -- rewrite validation (the superoptimizer's proof gate) -------------------- *)
 
@@ -378,10 +265,9 @@ let outcomes ctx d ~fall (words : (Inst.op list * Select.lnext) list) =
   (match words with [] -> fall_off () | ws -> go ws);
   List.rev !outs
 
-let validate_rewrite ?(config = default_config) d ~fall_ref ~fall_cand
-    ~reference ~candidate =
+let validate_rewrite d ~fall_ref ~fall_cand ~reference ~candidate =
   let ctx = Symexec.create_ctx () in
-  match
+  try
     let ro = outcomes ctx d ~fall:fall_ref reference in
     let co = outcomes ctx d ~fall:fall_cand candidate in
     let dests os = List.map (fun (dst, _, _) -> dst) os in
@@ -418,19 +304,13 @@ let validate_rewrite ?(config = default_config) d ~fall_ref ~fall_cand
               (g1, g2) :: Symexec.store_pairs s1 s2)
             paired
         in
-        match
-          Symexec.decide ~budget_bits:config.tv_budget_bits
-            ~samples:config.tv_samples ~seed:config.tv_seed goals
-        with
+        match Symexec.decide goals with
         | Symexec.Proved -> Validated
         | Symexec.Refuted cx -> Refuted (Some cx)
         | Symexec.Unknown -> Unknown
       end
     end
-  with
-  | v -> v
-  | exception Unsupported_window -> Unknown
-  | exception Udiag.Error _ -> Unknown
+  with Unsupported_window | Udiag.Error _ -> Unknown
 
 (* -- findings and aggregation ------------------------------------------------ *)
 
@@ -443,12 +323,6 @@ let tally verdict loc what (acc : result) =
   let acc = { acc with v_total = acc.v_total + 1 } in
   match verdict with
   | Validated -> { acc with v_validated = acc.v_validated + 1 }
-  | Validated_dynamic ->
-      {
-        acc with
-        v_validated = acc.v_validated + 1;
-        v_dynamic = acc.v_dynamic + 1;
-      }
   | Refuted cx ->
       let f =
         Diag.finding ~severity:Diag.Error ~loc ~code:"tv-refuted"
@@ -477,12 +351,12 @@ let tally verdict loc what (acc : result) =
 
 let finish acc = { acc with v_findings = List.rev acc.v_findings }
 
-let validate_artifacts ?config d (artifacts : artifact list) =
+let validate_artifacts d (artifacts : artifact list) =
   finish
     (List.fold_left
        (fun acc a ->
          let loc = Diag.L_block { block = a.a_label; stmt = None } in
-         tally (validate_artifact ?config d a) loc
+         tally (validate_artifact d a) loc
            (Printf.sprintf "compacted block %S" a.a_label)
            acc)
        empty_result artifacts)
@@ -532,7 +406,7 @@ let region_bounds (progs : Inst.t array list) n =
 
 (* One region, symbolically.  The last words' sequencing must agree
    structurally; everything before it is fall-through on both sides. *)
-let validate_region config d (ra : Inst.t array) (ca : Inst.t array) (s, e) =
+let validate_region d (ra : Inst.t array) (ca : Inst.t array) (s, e) =
   let ctx = Symexec.create_ctx () in
   let sr = Symexec.init_store ctx d in
   let sc = Symexec.init_store ctx d in
@@ -546,27 +420,13 @@ let validate_region config d (ra : Inst.t array) (ca : Inst.t array) (s, e) =
       if ra.(e).Inst.next <> ca.(e).Inst.next then Refuted None
       else if sr.Symexec.st_acks <> sc.Symexec.st_acks then Refuted None
       else (
-        match
-          Symexec.decide ~budget_bits:config.tv_budget_bits
-            ~samples:config.tv_samples ~seed:config.tv_seed
-            (Symexec.store_pairs sr sc)
-        with
+        match Symexec.decide (Symexec.store_pairs sr sc) with
         | Symexec.Proved -> Validated
         | Symexec.Refuted cx -> Refuted (Some cx)
-        | Symexec.Unknown when config.tv_dynamic ->
-            let slice_words (arr : Inst.t array) =
-              List.init
-                (e - s + 1)
-                (fun k ->
-                  let w = arr.(s + k) in
-                  ( w.Inst.ops,
-                    if k = e - s then Select.L_halt else Select.L_next ))
-            in
-            dynamic_check config d (slice_words ra) (slice_words ca)
         | Symexec.Unknown -> Unknown)
   | exception Udiag.Error _ -> Unknown
 
-let validate_program ?(config = default_config) ?(labels = []) d ~reference
+let validate_program ?(labels = []) d ~reference
     ~candidate =
   let ra = Array.of_list reference and ca = Array.of_list candidate in
   if Array.length ra <> Array.length ca then
@@ -596,7 +456,7 @@ let validate_program ?(config = default_config) ?(labels = []) d ~reference
          (fun acc (s, e) ->
            let loc = Diag.L_word { addr = s; owner = owner s } in
            tally
-             (validate_region config d ra ca (s, e))
+             (validate_region d ra ca (s, e))
              loc
              (Printf.sprintf "words %d..%d" s e)
              acc)
@@ -605,7 +465,6 @@ let validate_program ?(config = default_config) ?(labels = []) d ~reference
 
 let pp_summary ppf r =
   Format.fprintf ppf
-    "%d block%s: %d validated (%d dynamic), %d refuted, %d unknown"
-    r.v_total
+    "%d block%s: %d validated, %d refuted, %d unknown" r.v_total
     (if r.v_total = 1 then "" else "s")
-    r.v_validated r.v_dynamic r.v_refuted r.v_unknown
+    r.v_validated r.v_refuted r.v_unknown

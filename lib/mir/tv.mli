@@ -7,9 +7,9 @@
     from a common store of fresh inputs, and the stores are compared at
     every control exit.  Honest compiles prove by pointer equality of the
     hash-consed terms; rewrites that changed term shape go through the
-    layered decision procedure, which refutes with a concrete
-    counterexample store or gives up within budget (and can then fall
-    back to the differential oracle for just that block). *)
+    layered decision procedure ({!Symexec.decide} at its default budget),
+    which proves, refutes with a concrete counterexample store, or gives
+    up as [Unknown].  Only a proof validates. *)
 
 open Msl_machine
 
@@ -23,21 +23,8 @@ type artifact = {
   a_mis : (Inst.op list * Select.lnext) list;
 }
 
-type config = {
-  tv_budget_bits : int;
-      (** exhaustive-enumeration budget, in live input bits (default 16) *)
-  tv_samples : int;  (** sampled stores before giving up (default 64) *)
-  tv_seed : int;
-  tv_dynamic : bool;
-      (** fall back to seeded concrete runs through {!Sim} on UNKNOWN *)
-}
-
-val default_config : config
-
 type verdict =
   | Validated  (** proved equal on every exit *)
-  | Validated_dynamic
-      (** only the dynamic fallback agreed — evidence, not a proof *)
   | Refuted of Symexec.assignment option
       (** provably different; [None] means a structural mismatch (exit
           kinds, word counts, ack counts) with no store to blame *)
@@ -45,8 +32,10 @@ type verdict =
 
 type result = {
   v_total : int;
-  v_validated : int;  (** includes dynamic *)
+  v_validated : int;
   v_dynamic : int;
+      (** always 0, since only a proof validates; msbench's
+          [compile-gated] still reports it as [tv.dynamic_pct] *)
   v_refuted : int;
   v_unknown : int;
   v_findings : Diag.finding list;
@@ -57,12 +46,11 @@ type result = {
 
 val empty_result : result
 
-val validate_artifact : ?config:config -> Desc.t -> artifact -> verdict
+val validate_artifact : Desc.t -> artifact -> verdict
 
-val validate_artifacts : ?config:config -> Desc.t -> artifact list -> result
+val validate_artifacts : Desc.t -> artifact list -> result
 
 val validate_words :
-  ?config:config ->
   Desc.t ->
   reference:(Inst.op list * Select.lnext) list ->
   candidate:(Inst.op list * Select.lnext) list ->
@@ -70,7 +58,6 @@ val validate_words :
 (** The core comparison, on explicit word lists. *)
 
 val validate_rewrite :
-  ?config:config ->
   Desc.t ->
   fall_ref:string option ->
   fall_cand:string option ->
@@ -85,11 +72,9 @@ val validate_rewrite :
     [validate_words] rejects structurally: goto-fold into a predecessor
     word, branch inversion that swaps the taken and fall-through paths.
     Windows containing calls, dispatches or interrupt-pending tests are
-    [Unknown].  There is no dynamic fallback — only [Validated] is a
-    proof, and the superoptimizer accepts nothing less. *)
+    [Unknown], and the superoptimizer accepts nothing but [Validated]. *)
 
 val validate_program :
-  ?config:config ->
   ?labels:(string * int) list ->
   Desc.t ->
   reference:Inst.t list ->
@@ -104,10 +89,13 @@ val apply_assignment : Desc.t -> Sim.t -> Symexec.assignment -> unit
 (** Replay helper: write a counterexample store into a simulator
     ([r:NAME] registers, [f:X] flags; unknown names are skipped). *)
 
-val arch_digest : Desc.t -> Sim.t -> string
-(** The architectural state only — registers, flags, nonzero memory —
-    excluding the pc/cycle/traffic counters of {!Sim.state_digest}, which
-    legitimately differ between a compacted program and its reference. *)
+val replay : Desc.t -> Inst.t list -> Symexec.assignment -> string
+(** Run a linked program on the interpreter from one input store
+    (written with {!apply_assignment}, fuel 4096): the halt status line
+    ([halted] or [fuel]) followed by {!Sim.arch_digest}, or [fault:]
+    and the message when the run stops on a fault or an operand the
+    description lacks.  Two programs whose replays differ diverge
+    observably on that store. *)
 
 val seeded_assignments : Desc.t -> seed:int -> n:int -> Symexec.assignment list
 (** [n] deterministic input stores over the symbolic variable names

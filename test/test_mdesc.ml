@@ -407,7 +407,14 @@ let test_validate_invariants () =
             {
               (nop_tmpl "mov") with
               Desc.t_sem = Desc.S_move;
-              t_operands = [| Desc.opwrite ~name:"dst" "vec" |];
+              t_operands =
+                [|
+                  {
+                    Desc.o_name = "dst";
+                    o_kind = Desc.O_reg "vec";
+                    o_role = Desc.Write;
+                  };
+                |];
               t_result = Desc.R_operands;
             };
           ]

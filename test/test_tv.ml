@@ -2,8 +2,8 @@
    layers (normalizer soundness against concrete simulation, exhaustive
    proof, sampled refutation, budget exhaustion) and the Tv validation
    passes (honest blocks validate; every injected miscompile kind is
-   refuted and its witness store replays to divergent architectural
-   state through the interpreter). *)
+   refuted and its witness store replays, through [Tv.replay], to
+   divergent architectural state). *)
 
 open Msl_bitvec
 open Msl_machine
@@ -14,6 +14,7 @@ module Compaction = Msl_mir.Compaction
 
 let check_bool = Alcotest.(check bool)
 let hp3 = Machines.hp3
+let h1 = Machines.h1
 
 (* A concrete environment over a seeded assignment; memory starts zero,
    matching a freshly created simulator. *)
@@ -81,7 +82,9 @@ let test_decide_refuted () =
    that every register and flag term evaluates — under seeded concrete
    stores — to exactly what the interpreter computes.  This holds every
    smart-constructor rewrite (constant folding, ALU lowering, flag
-   reduction, slice/zext normalization) to Sim's concrete semantics. *)
+   reduction, slice/zext normalization) to Sim's concrete semantics, on
+   the 16-bit 2-phase HP3, the 64-bit 3-phase H1 and the single-phase
+   B17 (V11 has no [inc], which the generated blocks use). *)
 let block_words ?(p_dep = 40) d ~seed ~n =
   let ops = Core.Workloads.compaction_block d ~seed ~n ~p_dep in
   let r =
@@ -92,41 +95,45 @@ let block_words ?(p_dep = 40) d ~seed ~n =
 
 let test_symexec_matches_sim () =
   List.iter
-    (fun seed ->
-      let words = block_words hp3 ~seed ~n:10 in
-      let ctx = Symexec.create_ctx () in
-      let store = Symexec.init_store ctx hp3 in
+    (fun (d : Desc.t) ->
       List.iter
-        (fun (w : Inst.t) -> Symexec.exec_word ctx hp3 store w.Inst.ops)
-        words;
-      List.iter
-        (fun a ->
-          let env = env_of a in
-          let sim = Sim.create hp3 in
-          Sim.load_store sim words;
-          Tv.apply_assignment hp3 sim a;
-          (match Sim.run ~fuel:256 sim with
-          | Sim.Halted -> ()
-          | Sim.Out_of_fuel -> Alcotest.fail "block did not halt");
-          Array.iteri
-            (fun i (r : Desc.reg) ->
-              let want = Sim.get_reg sim r.Desc.r_name in
-              let got = Symexec.eval env store.Symexec.st_regs.(i) in
-              if not (Bitvec.equal want got) then
-                Alcotest.failf "seed %d, %s: sim %s vs symexec %s" seed
-                  r.Desc.r_name (Bitvec.to_string want) (Bitvec.to_string got))
-            hp3.Desc.d_regs;
-          Array.iteri
-            (fun i t ->
-              let fl = Symexec.flag_of_index i in
-              let want = Sim.get_flag sim fl in
-              let got = not (Bitvec.is_zero (Symexec.eval env t)) in
-              if want <> got then
-                Alcotest.failf "seed %d, flag %s: sim %b vs symexec %b" seed
-                  (Rtl.flag_name fl) want got)
-            store.Symexec.st_flags)
-        (Tv.seeded_assignments hp3 ~seed ~n:3))
-    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+        (fun seed ->
+          let words = block_words d ~seed ~n:10 in
+          let ctx = Symexec.create_ctx () in
+          let store = Symexec.init_store ctx d in
+          List.iter
+            (fun (w : Inst.t) -> Symexec.exec_word ctx d store w.Inst.ops)
+            words;
+          List.iter
+            (fun a ->
+              let env = env_of a in
+              let sim = Sim.create d in
+              Sim.load_store sim words;
+              Tv.apply_assignment d sim a;
+              (match Sim.run ~fuel:256 sim with
+              | Sim.Halted -> ()
+              | Sim.Out_of_fuel -> Alcotest.fail "block did not halt");
+              Array.iteri
+                (fun i (r : Desc.reg) ->
+                  let want = Sim.get_reg sim r.Desc.r_name in
+                  let got = Symexec.eval env store.Symexec.st_regs.(i) in
+                  if not (Bitvec.equal want got) then
+                    Alcotest.failf "%s seed %d, %s: sim %s vs symexec %s"
+                      d.Desc.d_name seed r.Desc.r_name (Bitvec.to_string want)
+                      (Bitvec.to_string got))
+                d.Desc.d_regs;
+              Array.iteri
+                (fun i t ->
+                  let fl = Symexec.flag_of_index i in
+                  let want = Sim.get_flag sim fl in
+                  let got = not (Bitvec.is_zero (Symexec.eval env t)) in
+                  if want <> got then
+                    Alcotest.failf "%s seed %d, flag %s: sim %b vs symexec %b"
+                      d.Desc.d_name seed (Rtl.flag_name fl) want got)
+                store.Symexec.st_flags)
+            (Tv.seeded_assignments d ~seed ~n:3))
+        [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+    [ hp3; h1; Machines.b17 ]
 
 (* -- hash-consing normalizations ----------------------------------------- *)
 
@@ -156,33 +163,39 @@ let to_words insts =
         | _ -> Select.L_next ))
     insts
 
-let parse_words src = to_words (Masm.parse_program hp3 src)
+let parse_words d src = to_words (Masm.parse_program d src)
 
-(* R1 + R1 vs R1 shl 1: equal on all 2^16 inputs but structurally
-   different (shifts stay opaque), so the verdict walks the layers:
-   exhaustive proof under the default budget, Unknown when starved,
-   dynamic agreement when the fallback is allowed. *)
+(* R1 + R1 vs R1 shl 1: equal on every input but structurally different
+   (shifts stay opaque), so the verdict walks the layers: on HP3's 16-bit
+   registers the default budget enumerates every input and proves it; on
+   H1's 64-bit registers no budget covers the input space and sampling
+   finds no counterexample, so the answer is Unknown — never a
+   validation. *)
 let test_validate_words_layers () =
-  let reference = parse_words "[ add R0, R1, R1 ] -> halt\n" in
-  let shl1 = parse_words "[ shl R0, R1, #1 ] -> halt\n" in
-  (match Tv.validate_words hp3 ~reference ~candidate:shl1 with
+  let add = "[ add R0, R1, R1 ] -> halt\n" in
+  let shl1 = "[ shl R0, R1, #1 ] -> halt\n" in
+  let reference = parse_words hp3 add in
+  (match Tv.validate_words hp3 ~reference ~candidate:(parse_words hp3 shl1) with
   | Tv.Validated -> ()
   | _ -> Alcotest.fail "expected an exhaustive proof");
-  let starved =
-    { Tv.tv_budget_bits = 0; tv_samples = 0; tv_seed = 0; tv_dynamic = false }
-  in
-  (match Tv.validate_words ~config:starved hp3 ~reference ~candidate:shl1 with
+  let h1_reference = parse_words h1 add in
+  (match
+     Tv.validate_words h1 ~reference:h1_reference
+       ~candidate:(parse_words h1 shl1)
+   with
   | Tv.Unknown -> ()
-  | _ -> Alcotest.fail "a starved budget must answer Unknown");
-  let dynamic = { starved with Tv.tv_dynamic = true } in
-  (match Tv.validate_words ~config:dynamic hp3 ~reference ~candidate:shl1 with
-  | Tv.Validated_dynamic -> ()
-  | _ -> Alcotest.fail "the dynamic fallback should agree");
-  (* R1 shl 2 computes something else: refuted with a counterexample *)
-  let shl2 = parse_words "[ shl R0, R1, #2 ] -> halt\n" in
-  match Tv.validate_words hp3 ~reference ~candidate:shl2 with
-  | Tv.Refuted (Some _) -> ()
-  | _ -> Alcotest.fail "expected a counterexample refutation"
+  | _ -> Alcotest.fail "64 live input bits must answer Unknown");
+  (* R1 shl 2 computes something else: refuted with a counterexample on
+     both machines, so H1's Unknown above is the budget's answer *)
+  let shl2 = "[ shl R0, R1, #2 ] -> halt\n" in
+  List.iter
+    (fun (d, reference) ->
+      match
+        Tv.validate_words d ~reference ~candidate:(parse_words d shl2)
+      with
+      | Tv.Refuted (Some _) -> ()
+      | _ -> Alcotest.failf "%s: expected a counterexample refutation" d.Desc.d_name)
+    [ (hp3, reference); (h1, h1_reference) ]
 
 let test_validate_honest_block () =
   List.iter
@@ -195,7 +208,6 @@ let test_validate_honest_block () =
       (* same n/p_dep: candidate is the compaction of the same op list *)
       match Tv.validate_words hp3 ~reference ~candidate with
       | Tv.Validated -> ()
-      | Tv.Validated_dynamic -> Alcotest.fail "honest block needed the fallback"
       | Tv.Refuted _ -> Alcotest.failf "honest compaction refuted (seed %d)" seed
       | Tv.Unknown -> Alcotest.failf "honest compaction unknown (seed %d)" seed)
     [ 1; 2; 3; 4; 5 ]
@@ -209,8 +221,7 @@ let test_validate_different_blocks () =
   let candidate = to_words (block_words hp3 ~seed:2 ~n:12) in
   match Tv.validate_words hp3 ~reference ~candidate with
   | Tv.Refuted _ -> ()
-  | Tv.Validated | Tv.Validated_dynamic ->
-      Alcotest.fail "validated two different blocks"
+  | Tv.Validated -> Alcotest.fail "validated two different blocks"
   | Tv.Unknown -> Alcotest.fail "expected a refutation, got Unknown"
 
 (* -- program-level validation: miscompiles refuted and replayed ---------- *)
@@ -221,25 +232,6 @@ let read_example name =
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   s
-
-(* The probe's observation, replayed: one input store through both
-   programs on the interpreter, compared on halt status + architectural
-   digest. *)
-let replay_diverges (d : Desc.t) witness reference mutant =
-  let run insts =
-    try
-      let sim = Sim.create ~trap_mode:Sim.Fault_is_error d in
-      Sim.load_store sim insts;
-      Tv.apply_assignment d sim witness;
-      let status =
-        match Sim.run ~fuel:4096 sim with
-        | Sim.Halted -> "halted\n"
-        | Sim.Out_of_fuel -> "fuel\n"
-      in
-      status ^ Tv.arch_digest d sim
-    with Msl_util.Diag.Error di -> "fault:" ^ di.Msl_util.Diag.message
-  in
-  run reference <> run mutant
 
 let test_miscompiles_refuted () =
   let d = hp3 in
@@ -263,7 +255,7 @@ let test_miscompiles_refuted () =
               check_bool
                 (name ^ " witness replays to divergent state")
                 true
-                (replay_diverges d witness insts mutant))
+                (Tv.replay d insts witness <> Tv.replay d mutant witness))
         [ 0; 1; 2; 3; 4 ];
       check_bool (name ^ " found an injectable site") true !found)
     Core.Workloads.all_miscompiles
