@@ -77,6 +77,20 @@ let check ~chain d ops groups =
          | Error _ -> false)
        groups
 
+(* [check] accepts no grouping shorter than the longest dependence chain
+   or than a clique of pairwise conflicting ops, one word each. *)
+let lower_bound ~chain d ops =
+  let infos, edges = Dataflow.build d (Array.of_list ops) in
+  let clique =
+    List.fold_left
+      (fun clique op ->
+        if List.for_all (fun c -> Conflict.pair_conflict d c op <> None) clique
+        then op :: clique
+        else clique)
+      [] ops
+  in
+  max (Dataflow.critical_path ~chain infos edges) (List.length clique)
+
 let sequential ops = List.map (fun op -> [ op ]) ops
 
 (* -- first-come-first-served --------------------------------------------- *)

@@ -40,6 +40,13 @@ val check : chain:bool -> Desc.t -> Inst.op list -> Inst.op list list -> bool
     respected and every word conflict-free?  Run internally on every
     result; exposed for the property tests. *)
 
+val lower_bound : chain:bool -> Desc.t -> Inst.op list -> int
+(** An admissible bound on the words any grouping {!check} accepts needs:
+    the larger of the longest dependence chain and a greedy clique of
+    pairwise-conflicting ops.  [compact]'s result never has fewer words,
+    whatever the algorithm and whether or not [Optimal] ran out of
+    budget. *)
+
 val compact :
   ?chain:bool -> ?node_budget:int -> algo:algo -> Desc.t -> Inst.op list ->
   result

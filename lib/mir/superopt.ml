@@ -8,7 +8,9 @@
    compaction, before linking — and proposes three rewrite classes:
 
      repack         re-schedule a window's ops with the branch-and-bound
-                    compactor, spanning a merged block boundary;
+                    compactor, spanning a merged block boundary; a window
+                    whose Compaction.lower_bound already equals its word
+                    count is not searched, since no packing can beat it;
      goto-fold      absorb an op-free control word into the L_next word
                     before it (the collapse Pipeline.thread_jumps must
                     refuse when control falls in);
@@ -47,6 +49,7 @@ type rewrite = {
 
 type stats = {
   mutable s_windows : int;
+  mutable s_bounded : int;
   mutable s_accepted : int;
   mutable s_words_saved : int;
   mutable s_merges : int;
@@ -60,6 +63,7 @@ type stats = {
 let empty_stats () =
   {
     s_windows = 0;
+    s_bounded = 0;
     s_accepted = 0;
     s_words_saved = 0;
     s_merges = 0;
@@ -452,42 +456,50 @@ let repack_block stats observe memo d ~chain ~node_budget ~succ
           in
           if Array.length flat >= 2 then begin
             stats.s_windows <- stats.s_windows + 1;
-            Trace.with_span ~cat:"superopt" "window"
-              ~args:
-                [
-                  ("block", Trace.A_string label);
-                  ("start", Trace.A_int !i);
-                  ("words", Trace.A_int (List.length window));
-                  ("ops", Trace.A_int (Array.length flat));
-                ]
-              (fun () ->
-                let groups =
-                  search_packing stats memo d ~chain ~node_budget flat
-                in
-                if List.length groups < List.length window then begin
-                  let candidate =
-                    match split_last groups with
-                    | init, last ->
-                        List.map (fun g -> (g, Select.L_next)) init
-                        @ [ (last, last_ctrl) ]
+            (* every packing, the search's included, has at least
+               [lower_bound] words, so a window already that short can
+               yield no candidate *)
+            if
+              Compaction.lower_bound ~chain d (Array.to_list flat)
+              >= List.length window
+            then stats.s_bounded <- stats.s_bounded + 1
+            else
+              Trace.with_span ~cat:"superopt" "window"
+                ~args:
+                  [
+                    ("block", Trace.A_string label);
+                    ("start", Trace.A_int !i);
+                    ("words", Trace.A_int (List.length window));
+                    ("ops", Trace.A_int (Array.length flat));
+                  ]
+                (fun () ->
+                  let groups =
+                    search_packing stats memo d ~chain ~node_budget flat
                   in
-                  let fall =
-                    if !j = n - 1 then succ else Some continue_label
-                  in
-                  if
-                    attempt stats observe d ~label ~kind:K_repack
-                      ~fall_ref:fall ~fall_cand:fall ~reference:window
-                      ~candidate
-                  then begin
-                    changed := true;
-                    improved := true;
-                    let prefix = Array.to_list (Array.sub a 0 !i) in
-                    let suffix =
-                      Array.to_list (Array.sub a (!j + 1) (n - !j - 1))
+                  if List.length groups < List.length window then begin
+                    let candidate =
+                      match split_last groups with
+                      | init, last ->
+                          List.map (fun g -> (g, Select.L_next)) init
+                          @ [ (last, last_ctrl) ]
                     in
-                    current := Array.of_list (prefix @ candidate @ suffix)
-                  end
-                end)
+                    let fall =
+                      if !j = n - 1 then succ else Some continue_label
+                    in
+                    if
+                      attempt stats observe d ~label ~kind:K_repack
+                        ~fall_ref:fall ~fall_cand:fall ~reference:window
+                        ~candidate
+                    then begin
+                      changed := true;
+                      improved := true;
+                      let prefix = Array.to_list (Array.sub a 0 !i) in
+                      let suffix =
+                        Array.to_list (Array.sub a (!j + 1) (n - !j - 1))
+                      in
+                      current := Array.of_list (prefix @ candidate @ suffix)
+                    end
+                  end)
           end
         end;
         decr j

@@ -9,7 +9,9 @@
     - {e repack}: re-schedule a window's microoperations with the
       branch-and-bound compactor ({!Compaction.Optimal} under the same
       [bb_budget]), spanning words the per-block run could not because a
-      block boundary or the sequencing tail stood between them;
+      block boundary or the sequencing tail stood between them.  A
+      window whose {!Compaction.lower_bound} already equals its word
+      count cannot shrink and is not searched;
     - {e goto-fold}: absorb a label-free control word into the
       [L_next] word before it (the jump-to-jump collapse
       [Pipeline.thread_jumps] must refuse when control falls in);
@@ -26,7 +28,8 @@
 
     Window search results are memoizable in a content-addressed store
     keyed by (machine, window digest, search options), so the branch-and-
-    bound cost amortizes across a batch fleet. *)
+    bound cost amortizes across a batch fleet.  Only windows the lower
+    bound leaves open are looked up or stored. *)
 
 open Msl_machine
 
@@ -51,6 +54,9 @@ type rewrite = {
 
 type stats = {
   mutable s_windows : int;  (** windows examined *)
+  mutable s_bounded : int;
+      (** repack windows skipped because {!Compaction.lower_bound}
+          already equals their word count (counted in [s_windows]) *)
   mutable s_accepted : int;  (** rewrites proved and applied *)
   mutable s_words_saved : int;
   mutable s_merges : int;  (** fallthrough block merges (word-neutral) *)

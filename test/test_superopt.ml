@@ -71,7 +71,7 @@ let o2_options =
   { Pipeline.default_options with Pipeline.opt_level = 2 }
 
 let test_corpus () =
-  let total_rewrites = ref 0 in
+  let total_rewrites = ref 0 and bounded = ref 0 in
   List.iter
     (fun (name, lang, machines, path) ->
       let src = read_file path in
@@ -107,6 +107,7 @@ let test_corpus () =
           | None -> Alcotest.failf "%s on %s: -O2 reported no superopt stats"
                       name d.Desc.d_name
           | Some st ->
+              bounded := !bounded + st.Superopt.s_bounded;
               check_int
                 (Printf.sprintf "%s on %s: captured = accepted" name
                    d.Desc.d_name)
@@ -115,7 +116,8 @@ let test_corpus () =
         machines)
     (example_sources ());
   check_bool "the corpus exercises at least one rewrite" true
-    (!total_rewrites >= 1)
+    (!total_rewrites >= 1);
+  check_bool "the lower bound settles some corpus window" true (!bounded > 0)
 
 (* -- window-boundary units ------------------------------------------------ *)
 
@@ -199,6 +201,96 @@ let test_ack_window_skipped () =
   check_int "no rewrite across the ack" 0 st.Superopt.s_accepted;
   check_bool "the skip was counted" true (st.Superopt.s_skipped_ack >= 1)
 
+(* -- the repack lower bound -------------------------------------------------- *)
+
+(* Workloads.compaction_block draws inc, shl and three-address ALU ops,
+   which the accumulator-based V11 lacks; its seeded blocks mix moves
+   with two-operand ALU ops into ACC instead. *)
+let v11_block ~seed ~n ~p_dep =
+  let d = Machines.v11 in
+  let r = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int r (Array.length a)) in
+  let gprs =
+    Array.of_list
+      (List.map (fun (g : Desc.reg) -> g.Desc.r_id)
+         (Desc.regs_of_class d "alloc"))
+  in
+  let written = ref [] in
+  let src () =
+    if !written <> [] && Random.State.int r 100 < p_dep then
+      pick (Array.of_list !written)
+    else pick gprs
+  in
+  List.init n (fun _ ->
+      if Random.State.bool r then begin
+        let dst = pick gprs in
+        let op = Inst.make d "mov" [ Inst.A_reg dst; Inst.A_reg (src ()) ] in
+        written := dst :: !written;
+        op
+      end
+      else
+        let a = src () in
+        let b = src () in
+        Inst.make d
+          (pick [| "add"; "sub"; "and"; "or"; "xor" |])
+          [ Inst.A_reg a; Inst.A_reg b ])
+
+(* Admissibility: no exact branch-and-bound packing is shorter than
+   Compaction.lower_bound, over seeded blocks of several sizes and
+   dependence densities, on all four machines, with and without
+   chaining.  This is what makes skipping a window at its bound exact. *)
+let test_bound_admissible () =
+  let exact = ref 0 in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (n, p_dep) ->
+          for seed = 1 to 4 do
+            let ops =
+              if d == Machines.v11 then v11_block ~seed ~n ~p_dep
+              else Msl_core.Workloads.compaction_block d ~seed ~n ~p_dep
+            in
+            List.iter
+              (fun chain ->
+                let r =
+                  Compaction.compact ~chain ~algo:Compaction.Optimal d ops
+                in
+                if r.Compaction.exact then begin
+                  incr exact;
+                  let lb = Compaction.lower_bound ~chain d ops in
+                  let words = List.length r.Compaction.groups in
+                  check_bool
+                    (Printf.sprintf
+                       "%s seed %d n=%d p_dep=%d chain=%b: bound %d <= %d"
+                       d.Desc.d_name seed n p_dep chain lb words)
+                    true (lb <= words)
+                end)
+              [ true; false ]
+          done)
+        [ (2, 0); (4, 30); (6, 60); (8, 90) ])
+    [ Machines.hp3; Machines.h1; Machines.v11; Machines.b17 ];
+  check_bool "some searches were exact" true (!exact > 0)
+
+(* Two independent movs clash on the A-bus fields: the dependence chain
+   bounds the window at 1 word, the conflict clique at 2.  The window is
+   counted, settled by the bound, and never searched. *)
+let test_clique_bound () =
+  let ops = [ mov "R1" "R2"; mov "R3" "R4" ] in
+  let chain = Pipeline.default_options.Pipeline.chain in
+  let infos, edges = Dataflow.build hp3 (Array.of_list ops) in
+  check_int "chain bound" 1 (Dataflow.critical_path ~chain infos edges);
+  check_int "clique bound" 2 (Compaction.lower_bound ~chain hp3 ops);
+  let blocks =
+    [ ("entry",
+       [ ([ mov "R1" "R2" ], Select.L_next); ([ mov "R3" "R4" ], Select.L_halt) ])
+    ]
+  in
+  let out, st = run_superopt ~extra_refs:[] blocks in
+  check_int "words untouched" 2 (total_words out);
+  check_int "one window" 1 st.Superopt.s_windows;
+  check_int "settled by the bound" 1 st.Superopt.s_bounded;
+  check_int "no search" 0 st.Superopt.s_search_nodes
+
 (* -- the memo -------------------------------------------------------------- *)
 
 let test_memo_round_trip () =
@@ -237,6 +329,13 @@ let () =
             test_referenced_fence;
           Alcotest.test_case "Int_ack window is skipped" `Quick
             test_ack_window_skipped;
+        ] );
+      ( "bound",
+        [
+          Alcotest.test_case "lower bound <= exact packing" `Quick
+            test_bound_admissible;
+          Alcotest.test_case "conflict clique settles a window" `Quick
+            test_clique_bound;
         ] );
       ( "memo",
         [ Alcotest.test_case "find/add round trip, corruption safe" `Quick
