@@ -75,7 +75,9 @@ let interrupt_schedule ~seed ~n ~max_cycle =
 (* Generate a block of [n] microoperations for machine [d] with a
    controllable dependence density: with probability [p_dep]/100 an
    operand is the destination of an earlier op (creating RAW chains),
-   otherwise a fresh register. *)
+   otherwise a fresh register.  A machine without [shl] (V11's
+   accumulator datapath) gets its own forms: moves, and two-operand ALU
+   ops into ACC, whose result later operands may read. *)
 let compaction_block d ~seed ~n ~p_dep =
   let r = rng seed in
   let gprs =
@@ -90,6 +92,21 @@ let compaction_block d ~seed ~n ~p_dep =
   in
   let dst () = gprs.(pick r (Array.length gprs)) in
   let alu_ops = [| "add"; "sub"; "and"; "or"; "xor" |] in
+  let mov () =
+    let dreg = dst () in
+    written := dreg :: !written;
+    Inst.make d "mov" [ Inst.A_reg dreg; Inst.A_reg (src ()) ]
+  in
+  if Desc.find_template d "shl" = None then
+    let acc = (Desc.get_reg d "ACC").Desc.r_id in
+    List.init n (fun _ ->
+        if pick r 2 = 0 then mov ()
+        else
+          let a = src () and b = src () in
+          written := acc :: !written;
+          Inst.make d alu_ops.(pick r (Array.length alu_ops))
+            [ Inst.A_reg a; Inst.A_reg b ])
+  else
   (* the shift-amount immediate width differs per machine *)
   let shl_amt_width =
     match (Desc.get_template d "shl").Desc.t_operands.(2).Desc.o_kind with
@@ -99,10 +116,7 @@ let compaction_block d ~seed ~n ~p_dep =
   List.init n (fun _ ->
       let op =
         match pick r 10 with
-        | 0 | 1 ->
-            let dreg = dst () in
-            written := dreg :: !written;
-            Inst.make d "mov" [ Inst.A_reg dreg; Inst.A_reg (src ()) ]
+        | 0 | 1 -> mov ()
         | 2 ->
             let dreg = dst () in
             written := dreg :: !written;

@@ -19,7 +19,9 @@ val compaction_block :
   Msl_machine.Inst.op list
 (** A straight-line block of [n] microoperations; with probability
     [p_dep]% an operand is the destination of an earlier op (RAW chains).
-    Experiment T4 and the schedule-equivalence properties. *)
+    On a machine without [shl] (V11) the block holds moves and
+    two-operand ALU ops into ACC.  Experiment T4 and the
+    schedule-equivalence properties. *)
 
 val pressure_program : seed:int -> nvars:int -> nops:int -> string
 (** EMPL source over [nvars] symbolic variables and [nops] operations,

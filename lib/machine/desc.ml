@@ -333,18 +333,18 @@ let mkreg ?(classes = [ "gpr" ]) ?(macro = false) id name width =
   { r_id = id; r_name = name; r_width = width; r_classes = classes;
     r_macro = macro }
 
-let pp_cond d ppf = function
+let add_cond d buf = function
   | C_flag (f, v) ->
-      Fmt.pf ppf "%s%s" (if v then "" else "!") (Rtl.flag_name f)
+      Printf.bprintf buf "%s%s" (if v then "" else "!") (Rtl.flag_name f)
   | C_reg_zero (r, v) ->
-      Fmt.pf ppf "%s %s 0" (reg_name d r) (if v then "=" else "<>")
+      Printf.bprintf buf "%s %s 0" (reg_name d r) (if v then "=" else "<>")
   | C_reg_mask (r, m) ->
-      let s =
-        String.init (Array.length m) (fun i ->
-            match m.(Array.length m - 1 - i) with
-            | Mt -> '1'
-            | Mf -> '0'
-            | Mx -> 'x')
-      in
-      Fmt.pf ppf "%s match %s" (reg_name d r) s
-  | C_int_pending -> Fmt.string ppf "int_pending"
+      Printf.bprintf buf "%s match " (reg_name d r);
+      for i = Array.length m - 1 downto 0 do
+        Buffer.add_char buf (match m.(i) with Mt -> '1' | Mf -> '0' | Mx -> 'x')
+      done
+  | C_int_pending -> Buffer.add_string buf "int_pending"
+
+let pp_cond d ppf c =
+  let buf = Buffer.create 16 in
+  add_cond d buf c; Fmt.string ppf (Buffer.contents buf)

@@ -180,4 +180,9 @@ val word_bits : t -> int
 
 val mkreg : ?classes:string list -> ?macro:bool -> int -> string -> int -> reg
 
+val add_cond : t -> Buffer.t -> cond -> unit
+(** Appends a sequencer condition as listings show it ([Z], [!C],
+    [R1 = 0], [R1 <> 0], [R1 match 1x0], [int_pending]). *)
+
 val pp_cond : t -> Format.formatter -> cond -> unit
+(** {!add_cond} for Format users. *)

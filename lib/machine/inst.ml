@@ -134,33 +134,38 @@ let inst_extra_cycles inst =
 
 (* -- printing ------------------------------------------------------------ *)
 
-let pp_arg d ppf = function
-  | A_reg r -> Fmt.string ppf (Desc.reg_name d r)
-  | A_imm v ->
-      if Bitvec.width v <= 16 then Fmt.pf ppf "#%Ld" (Bitvec.to_int64 v)
-      else Fmt.pf ppf "#%s" (Bitvec.to_string ~base:16 v)
-
-let pp_op d ppf op =
-  Fmt.pf ppf "%s" op.op_t.Desc.t_name;
-  Array.iteri
-    (fun i a -> Fmt.pf ppf "%s %a" (if i = 0 then "" else ",") (pp_arg d) a)
-    op.op_args
-
-let pp_next d ppf = function
+(* The one printer: a Buffer writer, so a listing costs no formatter per
+   word.  [pp] wraps it for Format users. *)
+let add_inst d buf inst =
+  let add = Buffer.add_string buf in
+  let add_op i op =
+    if i > 0 then add " | ";
+    add op.op_t.Desc.t_name;
+    Array.iteri
+      (fun j a ->
+        add (if j = 0 then " " else ", ");
+        match a with
+        | A_reg r -> add (Desc.reg_name d r)
+        | A_imm v when Bitvec.width v <= 16 ->
+            add ("#" ^ Int64.to_string (Bitvec.to_int64 v))
+        | A_imm v -> add ("#" ^ Bitvec.to_string ~base:16 v))
+      op.op_args
+  in
+  add "[";
+  List.iteri add_op
+    (List.stable_sort (fun a b -> compare (op_phase a) (op_phase b)) inst.ops);
+  add "]";
+  match inst.next with
   | Next -> ()
-  | Jump a -> Fmt.pf ppf " -> goto %d" a
-  | Branch (c, a) -> Fmt.pf ppf " -> if %a goto %d" (Desc.pp_cond d) c a
+  | Jump a -> Printf.bprintf buf " -> goto %d" a
+  | Branch (c, a) -> Printf.bprintf buf " -> if %a goto %d" (Desc.add_cond d) c a
   | Dispatch { dreg; hi; lo; base } ->
-      Fmt.pf ppf " -> dispatch %s<%d..%d> + %d" (Desc.reg_name d dreg) hi lo
-        base
-  | Call a -> Fmt.pf ppf " -> call %d" a
-  | Return -> Fmt.pf ppf " -> return"
-  | Halt -> Fmt.pf ppf " -> halt"
+      Printf.bprintf buf " -> dispatch %s<%d..%d> + %d" (Desc.reg_name d dreg)
+        hi lo base
+  | Call a -> Printf.bprintf buf " -> call %d" a
+  | Return -> add " -> return"
+  | Halt -> add " -> halt"
 
 let pp d ppf inst =
-  let by_phase =
-    List.stable_sort (fun a b -> compare (op_phase a) (op_phase b)) inst.ops
-  in
-  Fmt.pf ppf "[%a]%a"
-    (Fmt.list ~sep:(Fmt.any " | ") (pp_op d))
-    by_phase (pp_next d) inst.next
+  let buf = Buffer.create 64 in
+  add_inst d buf inst; Fmt.string ppf (Buffer.contents buf)

@@ -53,9 +53,9 @@ val inst_extra_cycles : t -> int
 
 (** {1 Printing} *)
 
-val pp_arg : Desc.t -> Format.formatter -> arg -> unit
-val pp_op : Desc.t -> Format.formatter -> op -> unit
-val pp_next : Desc.t -> Format.formatter -> next -> unit
+val add_inst : Desc.t -> Buffer.t -> t -> unit
+(** Appends [[op | op | ...] -> sequencing], ops ordered by phase: the
+    one printer, with no formatter per word. *)
 
 val pp : Desc.t -> Format.formatter -> t -> unit
-(** Renders as [[op | op | ...] -> sequencing], ops ordered by phase. *)
+(** {!add_inst} for Format users. *)

@@ -300,6 +300,8 @@ let print d insts =
   let buf = Buffer.create 512 in
   List.iteri
     (fun i inst ->
-      Buffer.add_string buf (Fmt.str "%4d: %a@." i (Inst.pp d) inst))
+      Printf.bprintf buf "%4d: " i;
+      Inst.add_inst d buf inst;
+      Buffer.add_char buf '\n')
     insts;
   Buffer.contents buf

@@ -59,7 +59,12 @@ type key =
 
 type ctx = { tbl : (key, t) Hashtbl.t; mutable next : int }
 
-let create_ctx () = { tbl = Hashtbl.create 1024; next = 0 }
+(* TV makes one context per block, rewrite and region, and most hold a
+   few hundred terms.  The table starts small enough for the minor heap:
+   an array over 256 words goes straight to the major heap, and every
+   young term stored into it is promoted at the next minor collection.
+   [Hashtbl] grows the table as needed. *)
+let create_ctx () = { tbl = Hashtbl.create 64; next = 0 }
 
 let mk ctx ~width ~has_mem node key =
   match Hashtbl.find_opt ctx.tbl key with

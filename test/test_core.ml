@@ -357,6 +357,50 @@ let test_load_no_minor_gc () =
   check_int "minor collections over ten loads" 0
     ((Gc.quick_stat ()).Gc.minor_collections - before)
 
+(* Words allocated straight into the major heap (not promoted) while [f]
+   runs.  OCaml 5 syncs these counters only at a collection, hence the
+   [Gc.minor] on both sides. *)
+let direct_major_words f =
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  let r = f () in
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  ( r,
+    int_of_float
+      (s1.Gc.major_words -. s0.Gc.major_words
+      -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)) )
+
+(* A proof context starts small enough for the minor heap, so the terms
+   it hash-conses die young instead of being promoted through it. *)
+let test_proof_no_direct_major () =
+  let o2 = { Msl_mir.Pipeline.default_options with opt_level = 2 } in
+  let read name =
+    In_channel.with_open_bin (Filename.concat "../examples" name)
+      In_channel.input_all
+  in
+  List.iter
+    (fun (lang, name, d) ->
+      let src = read name in
+      let what = Printf.sprintf "%s on %s" name d.Desc.d_name in
+      let (_, inputs), compile_words =
+        direct_major_words (fun () ->
+            Core.Toolkit.compile_for_proof ~options:o2 lang d src)
+      in
+      check_int (what ^ ": -O2 compile") 0 compile_words;
+      let (r, unproved), prove_words =
+        direct_major_words (fun () -> Core.Toolkit.prove d inputs)
+      in
+      check_bool (what ^ ": proved") true
+        (r.Msl_mir.Tv.v_validated = r.Msl_mir.Tv.v_total && unproved = []);
+      check_int (what ^ ": proof") 0 prove_words)
+    [
+      (Core.Toolkit.Simpl, "mpy.simpl", Machines.hp3);
+      (Core.Toolkit.Simpl, "mpy.simpl", Machines.h1);
+      (Core.Toolkit.Yalll, "gcd.yll", Machines.b17);
+      (Core.Toolkit.Yalll, "gcd.yll", Machines.v11);
+    ]
+
 let () =
   Alcotest.run "core"
     [
@@ -394,5 +438,7 @@ let () =
           Alcotest.test_case "all tables render" `Quick test_all_tables_render;
           Alcotest.test_case "load forces no minor collection" `Quick
             test_load_no_minor_gc;
+          Alcotest.test_case "proofs allocate nothing straight into the major heap"
+            `Quick test_proof_no_direct_major;
         ] );
     ]

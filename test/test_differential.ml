@@ -75,7 +75,14 @@ let block_cases =
       let p_dep = seed * 13 mod 95 in
       (seed + 1, d, n, p_dep))
 
-let test_blocks () =
+(* V11's accumulator datapath gets its own seeded blocks: moves and
+   two-operand ALU ops into ACC. *)
+let v11_block_cases =
+  List.init 12 (fun i ->
+      let seed = 101 + i in
+      (seed, Machines.v11, 4 + (seed * 7 mod 24), seed * 13 mod 95))
+
+let check_blocks cases =
   List.iter
     (fun (seed, d, n, p_dep) ->
       let ops = Core.Workloads.compaction_block d ~seed ~n ~p_dep in
@@ -105,7 +112,7 @@ let test_blocks () =
             (Hashtbl.find words Compaction.Optimal
             <= Hashtbl.find words Compaction.Critical_path))
         chains)
-    block_cases
+    cases
 
 (* -- whole programs through the full pipeline --------------------------------- *)
 
@@ -331,7 +338,9 @@ let () =
       ( "oracle",
         [
           Alcotest.test_case "60 seeded blocks x 4 algos x chain on/off"
-            `Quick test_blocks;
+            `Quick (fun () -> check_blocks block_cases);
+          Alcotest.test_case "seeded V11 blocks x 4 algos x chain on/off"
+            `Quick (fun () -> check_blocks v11_block_cases);
           Alcotest.test_case "EMPL pressure programs" `Quick
             test_pressure_programs;
           Alcotest.test_case "YALLL corpus programs" `Quick

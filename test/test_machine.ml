@@ -170,6 +170,66 @@ let test_masm_labels () =
   | Inst.Jump 1 -> ()
   | _ -> Alcotest.fail "goto did not resolve to address 1"
 
+(* Every sequencer form, every condition shape and both immediate
+   renderings, on hand-built words (the example goldens miss several);
+   [Inst.pp] must render each word as the listing does. *)
+let test_masm_listing_shapes () =
+  let hp3 = Machines.hp3 and h1 = Machines.h1 in
+  let reg d n = Inst.A_reg (Desc.get_reg d n).Desc.r_id in
+  let imm w v = Inst.A_imm (Bitvec.of_int ~width:w v) in
+  let r1 = (Desc.get_reg hp3 "R1").Desc.r_id in
+  let w ops next = { Inst.ops; next } in
+  let add = Inst.make hp3 "add" [ reg hp3 "R3"; reg hp3 "R1"; reg hp3 "R2" ] in
+  let ldc v = Inst.make hp3 "ldc" [ reg hp3 "R4"; imm 16 v ] in
+  let hp3_words =
+    [
+      w [] Inst.Next;
+      w [ add; ldc 7 ] (Inst.Jump 5);
+      w [ ldc 65535 ] (Inst.Call 12);
+      w [] Inst.Return;
+      w [] Inst.Halt;
+      w [ add ] (Inst.Dispatch { dreg = r1; hi = 3; lo = 0; base = 8 });
+      w [] (Inst.Branch (Desc.C_flag (Rtl.Z, true), 2));
+      w [] (Inst.Branch (Desc.C_flag (Rtl.C, false), 3));
+      w [] (Inst.Branch (Desc.C_reg_zero (r1, true), 4));
+      w [] (Inst.Branch (Desc.C_reg_zero (r1, false), 5));
+      w [] (Inst.Branch (Desc.C_reg_mask (r1, [| Desc.Mt; Desc.Mx; Desc.Mf |]), 6));
+      w [] (Inst.Branch (Desc.C_int_pending, 7));
+    ]
+  in
+  check_str "HP3 listing"
+    "   0: []\n\
+    \   1: [add R3, R1, R2 | ldc R4, #7] -> goto 5\n\
+    \   2: [ldc R4, #65535] -> call 12\n\
+    \   3: [] -> return\n\
+    \   4: [] -> halt\n\
+    \   5: [add R3, R1, R2] -> dispatch R1<3..0> + 8\n\
+    \   6: [] -> if Z goto 2\n\
+    \   7: [] -> if !C goto 3\n\
+    \   8: [] -> if R1 = 0 goto 4\n\
+    \   9: [] -> if R1 <> 0 goto 5\n\
+    \  10: [] -> if R1 match 0x1 goto 6\n\
+    \  11: [] -> if int_pending goto 7\n"
+    (Masm.print hp3 hp3_words);
+  let h1_words =
+    [
+      w [ Inst.make h1 "ldc" [ reg h1 "R2"; imm 32 0x12345 ] ] Inst.Next;
+      w [ Inst.make h1 "ldc" [ reg h1 "R3"; imm 32 0 ] ] Inst.Halt;
+    ]
+  in
+  check_str "H1 wide immediates"
+    "   0: [ldc R2, #0x00012345]\n   1: [ldc R3, #0x00000000] -> halt\n"
+    (Masm.print h1 h1_words);
+  List.iter
+    (fun (d, words) ->
+      List.iter
+        (fun inst ->
+          check_str "Inst.pp matches the listing"
+            ("   0: " ^ Fmt.str "%a" (Inst.pp d) inst ^ "\n")
+            (Masm.print d [ inst ]))
+        words)
+    [ (hp3, hp3_words); (h1, h1_words) ]
+
 (* -- encoder ------------------------------------------------------------- *)
 
 let test_encode_roundtrip_fields () =
@@ -478,6 +538,7 @@ let () =
             test_masm_conflict_rejected;
           Alcotest.test_case "errors" `Quick test_masm_errors;
           Alcotest.test_case "labels" `Quick test_masm_labels;
+          Alcotest.test_case "listing shapes" `Quick test_masm_listing_shapes;
         ] );
       ( "encode",
         [

@@ -203,38 +203,6 @@ let test_ack_window_skipped () =
 
 (* -- the repack lower bound -------------------------------------------------- *)
 
-(* Workloads.compaction_block draws inc, shl and three-address ALU ops,
-   which the accumulator-based V11 lacks; its seeded blocks mix moves
-   with two-operand ALU ops into ACC instead. *)
-let v11_block ~seed ~n ~p_dep =
-  let d = Machines.v11 in
-  let r = Random.State.make [| seed |] in
-  let pick a = a.(Random.State.int r (Array.length a)) in
-  let gprs =
-    Array.of_list
-      (List.map (fun (g : Desc.reg) -> g.Desc.r_id)
-         (Desc.regs_of_class d "alloc"))
-  in
-  let written = ref [] in
-  let src () =
-    if !written <> [] && Random.State.int r 100 < p_dep then
-      pick (Array.of_list !written)
-    else pick gprs
-  in
-  List.init n (fun _ ->
-      if Random.State.bool r then begin
-        let dst = pick gprs in
-        let op = Inst.make d "mov" [ Inst.A_reg dst; Inst.A_reg (src ()) ] in
-        written := dst :: !written;
-        op
-      end
-      else
-        let a = src () in
-        let b = src () in
-        Inst.make d
-          (pick [| "add"; "sub"; "and"; "or"; "xor" |])
-          [ Inst.A_reg a; Inst.A_reg b ])
-
 (* Admissibility: no exact branch-and-bound packing is shorter than
    Compaction.lower_bound, over seeded blocks of several sizes and
    dependence densities, on all four machines, with and without
@@ -246,10 +214,7 @@ let test_bound_admissible () =
       List.iter
         (fun (n, p_dep) ->
           for seed = 1 to 4 do
-            let ops =
-              if d == Machines.v11 then v11_block ~seed ~n ~p_dep
-              else Msl_core.Workloads.compaction_block d ~seed ~n ~p_dep
-            in
+            let ops = Msl_core.Workloads.compaction_block d ~seed ~n ~p_dep in
             List.iter
               (fun chain ->
                 let r =
