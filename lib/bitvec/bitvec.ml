@@ -239,8 +239,7 @@ let concat hi lo =
   { w; v = Int64.logor (Int64.shift_left hi.v lo.w) lo.v }
 
 let resize ~width t =
-  check_width width;
-  norm width t.v
+  if width = t.w then t else (check_width width; norm width t.v)
 
 let sign_extend ~width t =
   check_width width;

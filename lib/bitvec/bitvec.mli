@@ -118,7 +118,8 @@ val concat : t -> t -> t
     @raise Invalid_argument if the combined width exceeds 64. *)
 
 val resize : width:int -> t -> t
-(** Zero-extend or truncate. *)
+(** Zero-extend or truncate; the argument itself when the width is
+    unchanged. *)
 
 val sign_extend : width:int -> t -> t
 

@@ -132,6 +132,10 @@ let op_field_values op =
 let inst_extra_cycles inst =
   List.fold_left (fun acc op -> max acc (op_extra_cycles op)) 0 inst.ops
 
+let ops_by_phase (d : Desc.t) ops =
+  Array.init d.Desc.d_phases (fun p ->
+      List.filter (fun op -> op_phase op = p) ops)
+
 (* -- printing ------------------------------------------------------------ *)
 
 (* The one printer: a Buffer writer, so a listing costs no formatter per

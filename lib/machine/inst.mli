@@ -51,6 +51,10 @@ val op_field_values : op -> (string * int) list
 val inst_extra_cycles : t -> int
 (** Largest stall among the instruction's ops. *)
 
+val ops_by_phase : Desc.t -> op list -> op list array
+(** A word's ops split by phase, each phase's in source order: the order
+    every engine runs them in. *)
+
 (** {1 Printing} *)
 
 val add_inst : Desc.t -> Buffer.t -> t -> unit

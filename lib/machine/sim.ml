@@ -6,7 +6,10 @@
    machine's phases run in order; within a phase, all reads sample the
    phase-start state and all writes commit together — the transport-delay
    model that lets a single horizontal microinstruction swap two registers,
-   and that gives S*'s [cocycle] its phase-by-phase meaning.
+   and that gives S*'s [cocycle] its phase-by-phase meaning.  Reads need no
+   snapshot: every write is buffered until the phase's actions are all
+   evaluated, so the live state *is* the phase-start state.  Each word's
+   ops are split by phase once, at [load_store], not on every step.
 
    Interrupts (§2.1.5): the harness schedules arrival cycles; a pending
    interrupt is visible to the [C_int_pending] condition and cleared by the
@@ -32,6 +35,18 @@ type t = {
   flags : bool array;  (* indexed by flag_index *)
   mem : Memory.t;
   mutable store : Inst.t array;
+  mutable phase_ops : Inst.op list array array;  (* per word, by phase *)
+  mutable extra : int array;  (* per word, [Inst.inst_extra_cycles] *)
+  (* the write buffer of the phase being executed, sized at [load_store]
+     for the store's busiest phase: register writes in order, one slot
+     per flag (-1 unwritten, else 0/1: the last write wins), memory
+     writes newest first *)
+  mutable wb_n : int;
+  mutable wb_ids : int array;
+  mutable wb_vals : Bitvec.t array;
+  wb_flags : int array;
+  mutable wb_mem : (int * Bitvec.t) list;
+  mutable wb_ack : bool;
   mutable mpc : int;
   mutable call_stack : int list;
   mutable halted : bool;
@@ -65,6 +80,14 @@ let create ?(trap_mode = Fault_is_error) (desc : Desc.t) =
     flags = Array.make 5 false;
     mem = Memory.create ~word_width:desc.d_word ~words:mem_words ();
     store = [||];
+    phase_ops = [||];
+    extra = [||];
+    wb_n = 0;
+    wb_ids = [||];
+    wb_vals = [||];
+    wb_flags = Array.make 5 (-1);
+    wb_mem = [];
+    wb_ack = false;
     mpc = 0;
     call_stack = [];
     halted = false;
@@ -114,13 +137,35 @@ let set_reg_int t name v =
 let get_flag t f = t.flags.(flag_index f)
 let set_flag t f b = t.flags.(flag_index f) <- b
 
+(* Each action writes at most one register, so a phase's action count
+   bounds its register writes: the write buffer's capacity. *)
+let phase_actions ops =
+  List.fold_left
+    (fun n (op : Inst.op) -> n + List.length op.Inst.op_t.Desc.t_actions) 0 ops
+
 let load_store t insts =
   let a = Array.of_list insts in
   if Array.length a > t.desc.Desc.d_store_words then
     Diag.error Diag.Assembly
       "program needs %d control-store words; %s has only %d" (Array.length a)
       t.desc.Desc.d_name t.desc.Desc.d_store_words;
+  (* filled in place: [Array.map] would seed a long array with a young
+     value, which forces a minor collection *)
+  let phases = Array.make (Array.length a) [||] in
+  Array.iteri
+    (fun i (inst : Inst.t) ->
+      phases.(i) <- Inst.ops_by_phase t.desc inst.Inst.ops)
+    a;
+  let cap =
+    Array.fold_left
+      (Array.fold_left (fun m ops -> max m (phase_actions ops)))
+      1 phases
+  in
   t.store <- a;
+  t.phase_ops <- phases;
+  t.extra <- Array.map Inst.inst_extra_cycles a;
+  t.wb_ids <- Array.make cap 0;
+  t.wb_vals <- Array.make cap (Bitvec.zero 1);
   t.mpc <- 0;
   t.halted <- false;
   t.call_stack <- []
@@ -155,35 +200,26 @@ let reset t =
 
 (* -- expression evaluation ---------------------------------------------- *)
 
-(* Values of operands and named registers are sampled from [snap], the
-   phase-start snapshot. *)
-let rec eval t (snap : Bitvec.t array) (flags : bool array)
-    (args : Inst.arg array) (e : Rtl.expr) : Bitvec.t =
-  let ev = eval t snap flags args in
+(* Reads the live registers and flags, which hold the phase-start state
+   while a phase runs (see [exec_phase]). *)
+let rec eval t (args : Inst.arg array) (e : Rtl.expr) : Bitvec.t =
   match e with
   | Rtl.Opnd i -> (
-      match args.(i) with Inst.A_reg r -> snap.(r) | Inst.A_imm v -> v)
-  | Rtl.Reg name -> snap.((Desc.get_reg t.desc name).Desc.r_id)
+      match args.(i) with Inst.A_reg r -> t.regs.(r) | Inst.A_imm v -> v)
+  | Rtl.Reg name -> t.regs.((Desc.get_reg t.desc name).Desc.r_id)
   | Rtl.Const v -> v
-  | Rtl.Flag f -> Bitvec.of_bool flags.(flag_index f)
-  | Rtl.Add (a, b) -> Bitvec.add (ev a) (ev b)
-  | Rtl.Sub (a, b) -> Bitvec.sub (ev a) (ev b)
-  | Rtl.And (a, b) -> Bitvec.logand (ev a) (ev b)
-  | Rtl.Or (a, b) -> Bitvec.logor (ev a) (ev b)
-  | Rtl.Xor (a, b) -> Bitvec.logxor (ev a) (ev b)
-  | Rtl.Not a -> Bitvec.lognot (ev a)
-  | Rtl.Slice (a, hi, lo) -> Bitvec.extract ~hi ~lo (ev a)
-  | Rtl.Concat (a, b) -> Bitvec.concat (ev a) (ev b)
-  | Rtl.Zext (w, a) -> Bitvec.resize ~width:w (ev a)
-  | Rtl.Mux (c, a, b) -> if Bitvec.is_zero (ev c) then ev b else ev a
-
-(* Pending writes of one phase, committed only if no microtrap occurred. *)
-type write_buffer = {
-  mutable wb_regs : (int * Bitvec.t) list;
-  mutable wb_flags : (int * bool) list;
-  mutable wb_mem : (int * Bitvec.t) list;
-  mutable wb_int_ack : bool;
-}
+  | Rtl.Flag f -> Bitvec.of_bool t.flags.(flag_index f)
+  | Rtl.Add (a, b) -> Bitvec.add (eval t args a) (eval t args b)
+  | Rtl.Sub (a, b) -> Bitvec.sub (eval t args a) (eval t args b)
+  | Rtl.And (a, b) -> Bitvec.logand (eval t args a) (eval t args b)
+  | Rtl.Or (a, b) -> Bitvec.logor (eval t args a) (eval t args b)
+  | Rtl.Xor (a, b) -> Bitvec.logxor (eval t args a) (eval t args b)
+  | Rtl.Not a -> Bitvec.lognot (eval t args a)
+  | Rtl.Slice (a, hi, lo) -> Bitvec.extract ~hi ~lo (eval t args a)
+  | Rtl.Concat (a, b) -> Bitvec.concat (eval t args a) (eval t args b)
+  | Rtl.Zext (w, a) -> Bitvec.resize ~width:w (eval t args a)
+  | Rtl.Mux (c, a, b) ->
+      if Bitvec.is_zero (eval t args c) then eval t args b else eval t args a
 
 let dest_reg_id t (args : Inst.arg array) = function
   | Rtl.D_reg name -> (Desc.get_reg t.desc name).Desc.r_id
@@ -193,66 +229,89 @@ let dest_reg_id t (args : Inst.arg array) = function
       | Inst.A_imm _ ->
           Diag.error Diag.Execution "microop writes to an immediate operand")
 
-let buffer_flags wb (f : Bitvec.flags) =
-  wb.wb_flags <-
-    (0, f.Bitvec.carry) :: (1, f.overflow) :: (2, f.zero) :: (3, f.negative)
-    :: (4, f.shifted_out) :: wb.wb_flags
+let buffer_reg t id v =
+  t.wb_ids.(t.wb_n) <- id;
+  t.wb_vals.(t.wb_n) <- v;
+  t.wb_n <- t.wb_n + 1
 
-(* Execute all actions of the ops scheduled in one phase.  Reads (including
-   memory reads) happen against the snapshot; writes are buffered. *)
-let exec_phase t snap ops =
-  let wb = { wb_regs = []; wb_flags = []; wb_mem = []; wb_int_ack = false } in
-  List.iter
-    (fun (op : Inst.op) ->
-      let args = op.Inst.op_args in
-      let ev e = eval t snap t.flags args e in
-      List.iter
-        (fun (a : Rtl.action) ->
-          match a with
-          | Rtl.Assign (d, e) ->
-              let id = dest_reg_id t args d in
-              let v = Bitvec.resize ~width:(Desc.reg t.desc id).Desc.r_width (ev e) in
-              wb.wb_regs <- (id, v) :: wb.wb_regs
-          | Rtl.Arith (d, op2, e1, e2) ->
-              let id = dest_reg_id t args d in
-              let w = (Desc.reg t.desc id).Desc.r_width in
-              let v1 = Bitvec.resize ~width:w (ev e1) in
-              let v2 = Bitvec.resize ~width:w (ev e2) in
-              let r, f = Rtl.eval_abinop op2 v1 v2 ~carry_in:t.flags.(0) in
-              wb.wb_regs <- (id, r) :: wb.wb_regs;
-              buffer_flags wb f
-          | Rtl.Arith_flags (op2, e1, e2) ->
-              let v1 = ev e1 in
-              let v2 = Bitvec.resize ~width:(Bitvec.width v1) (ev e2) in
-              let _, f = Rtl.eval_abinop op2 v1 v2 ~carry_in:t.flags.(0) in
-              buffer_flags wb f
-          | Rtl.Arith_nf (d, op2, e1, e2) ->
-              let id = dest_reg_id t args d in
-              let w = (Desc.reg t.desc id).Desc.r_width in
-              let v1 = Bitvec.resize ~width:w (ev e1) in
-              let v2 = Bitvec.resize ~width:w (ev e2) in
-              let r, _ = Rtl.eval_abinop op2 v1 v2 ~carry_in:t.flags.(0) in
-              wb.wb_regs <- (id, r) :: wb.wb_regs
-          | Rtl.Mem_read (d, addr) ->
-              let id = dest_reg_id t args d in
-              let a = Bitvec.to_int (Bitvec.resize ~width:62 (ev addr)) in
-              let v = Memory.read t.mem a in
-              wb.wb_regs
-              <- (id, Bitvec.resize ~width:(Desc.reg t.desc id).Desc.r_width v)
-                 :: wb.wb_regs
-          | Rtl.Mem_write (addr, value) ->
-              let a = Bitvec.to_int (Bitvec.resize ~width:62 (ev addr)) in
-              wb.wb_mem <- (a, ev value) :: wb.wb_mem
-          | Rtl.Set_flag (f, e) ->
-              wb.wb_flags <- (flag_index f, Bitvec.lsb (ev e)) :: wb.wb_flags
-          | Rtl.Int_ack -> wb.wb_int_ack <- true)
-        op.Inst.op_t.Desc.t_actions)
-    ops;
+let buffer_flags t (f : Bitvec.flags) =
+  let b = t.wb_flags in
+  b.(0) <- Bool.to_int f.Bitvec.carry;
+  b.(1) <- Bool.to_int f.overflow;
+  b.(2) <- Bool.to_int f.zero;
+  b.(3) <- Bool.to_int f.negative;
+  b.(4) <- Bool.to_int f.shifted_out
+
+let exec_action t args (a : Rtl.action) =
+  match a with
+  | Rtl.Assign (d, e) ->
+      let id = dest_reg_id t args d in
+      buffer_reg t id
+        (Bitvec.resize ~width:(Desc.reg t.desc id).Desc.r_width (eval t args e))
+  | Rtl.Arith (d, op2, e1, e2) ->
+      let id = dest_reg_id t args d in
+      let w = (Desc.reg t.desc id).Desc.r_width in
+      let v1 = Bitvec.resize ~width:w (eval t args e1) in
+      let v2 = Bitvec.resize ~width:w (eval t args e2) in
+      let r, f = Rtl.eval_abinop op2 v1 v2 ~carry_in:t.flags.(0) in
+      buffer_reg t id r;
+      buffer_flags t f
+  | Rtl.Arith_flags (op2, e1, e2) ->
+      let v1 = eval t args e1 in
+      let v2 = Bitvec.resize ~width:(Bitvec.width v1) (eval t args e2) in
+      let _, f = Rtl.eval_abinop op2 v1 v2 ~carry_in:t.flags.(0) in
+      buffer_flags t f
+  | Rtl.Arith_nf (d, op2, e1, e2) ->
+      let id = dest_reg_id t args d in
+      let w = (Desc.reg t.desc id).Desc.r_width in
+      let v1 = Bitvec.resize ~width:w (eval t args e1) in
+      let v2 = Bitvec.resize ~width:w (eval t args e2) in
+      buffer_reg t id (fst (Rtl.eval_abinop op2 v1 v2 ~carry_in:t.flags.(0)))
+  | Rtl.Mem_read (d, addr) ->
+      let id = dest_reg_id t args d in
+      let a = Bitvec.to_int (Bitvec.resize ~width:62 (eval t args addr)) in
+      let v = Memory.read t.mem a in
+      buffer_reg t id (Bitvec.resize ~width:(Desc.reg t.desc id).Desc.r_width v)
+  | Rtl.Mem_write (addr, value) ->
+      let a = Bitvec.to_int (Bitvec.resize ~width:62 (eval t args addr)) in
+      t.wb_mem <- (a, eval t args value) :: t.wb_mem
+  | Rtl.Set_flag (f, e) ->
+      t.wb_flags.(flag_index f) <- Bool.to_int (Bitvec.lsb (eval t args e))
+  | Rtl.Int_ack -> t.wb_ack <- true
+
+(* Top-level loops rather than [List.iter], whose closures would be a
+   good part of what a step allocates. *)
+let rec exec_actions t args = function
+  | [] -> ()
+  | a :: rest ->
+      exec_action t args a;
+      exec_actions t args rest
+
+let rec exec_ops t = function
+  | [] -> ()
+  | (op : Inst.op) :: rest ->
+      exec_actions t op.Inst.op_args op.Inst.op_t.Desc.t_actions;
+      exec_ops t rest
+
+(* Execute all actions of the ops scheduled in one phase.  Every register,
+   flag and memory write is buffered and committed only after all of the
+   phase's actions are evaluated, so every read (memory reads included)
+   sees the phase-start state; a microtrap mid-phase discards the buffer. *)
+let exec_phase t ops =
+  t.wb_n <- 0;
+  Array.fill t.wb_flags 0 5 (-1);
+  t.wb_mem <- [];
+  t.wb_ack <- false;
+  exec_ops t ops;
   (* commit: memory writes can still fault, so do them first *)
-  List.iter (fun (a, v) -> Memory.write t.mem a v) (List.rev wb.wb_mem);
-  List.iter (fun (id, v) -> t.regs.(id) <- v) (List.rev wb.wb_regs);
-  List.iter (fun (i, b) -> t.flags.(i) <- b) (List.rev wb.wb_flags);
-  if wb.wb_int_ack && t.int_pending then begin
+  List.iter (fun (a, v) -> Memory.write t.mem a v) (List.rev t.wb_mem);
+  for i = 0 to t.wb_n - 1 do
+    t.regs.(t.wb_ids.(i)) <- t.wb_vals.(i)
+  done;
+  for i = 0 to 4 do
+    if t.wb_flags.(i) >= 0 then t.flags.(i) <- t.wb_flags.(i) = 1
+  done;
+  if t.wb_ack && t.int_pending then begin
     t.int_pending <- false;
     t.int_serviced <- t.int_serviced + 1;
     let lat = t.cycles - t.int_pending_since in
@@ -334,19 +393,14 @@ let step t =
     if t.mpc < 0 || t.mpc >= Array.length t.store then
       Diag.error Diag.Execution "micro PC %d outside control store (size %d)"
         t.mpc (Array.length t.store);
-    let inst = t.store.(t.mpc) in
-    let by_phase p =
-      List.filter (fun op -> Inst.op_phase op = p) inst.Inst.ops
-    in
+    let pc = t.mpc in
+    let inst = t.store.(pc) in
     (try
-       for p = 0 to t.desc.Desc.d_phases - 1 do
-         match by_phase p with
-         | [] -> ()
-         | ops ->
-             let snap = Array.copy t.regs in
-             exec_phase t snap ops
+       let phases = t.phase_ops.(pc) in
+       for p = 0 to Array.length phases - 1 do
+         match phases.(p) with [] -> () | ops -> exec_phase t ops
        done;
-       t.cycles <- t.cycles + 1 + Inst.inst_extra_cycles inst;
+       t.cycles <- t.cycles + 1 + t.extra.(pc);
        t.insts_executed <- t.insts_executed + 1;
        (match inst.Inst.next with
        | Inst.Next -> t.mpc <- t.mpc + 1
@@ -464,6 +518,8 @@ module Engine = struct
   let regs t = t.regs
   let flags t = t.flags
   let store t = t.store
+  let phase_ops t = t.phase_ops
+  let buffer_capacity t = Array.length t.wb_ids
   let halted t = t.halted
   let set_halted t b = t.halted <- b
   let set_pc t pc = t.mpc <- pc
@@ -476,8 +532,12 @@ module Engine = struct
         t.call_stack <- rest;
         Some pc
 
-  let add_cycles t n = t.cycles <- t.cycles + n
-  let bump_insts t = t.insts_executed <- t.insts_executed + 1
+  (* one call per retired word: its cycles, the instruction count and
+     the pc it hands on to *)
+  let retire t cycles pc =
+    t.cycles <- t.cycles + cycles;
+    t.insts_executed <- t.insts_executed + 1;
+    t.mpc <- pc
 
   let has_interrupt_work t = t.int_schedule <> []
   let deliver_interrupts = deliver_interrupts

@@ -117,13 +117,22 @@ module Engine : sig
   val regs : t -> Msl_bitvec.Bitvec.t array
   val flags : t -> bool array
   val store : t -> Inst.t array
+
+  val phase_ops : t -> Inst.op list array array
+  (** Per word, {!Inst.ops_by_phase}: split once, at {!load_store}. *)
+
+  val buffer_capacity : t -> int
+  (** The most actions any one phase of the store runs, which bounds the
+      register writes a phase buffers. *)
+
   val halted : t -> bool
   val set_halted : t -> bool -> unit
   val set_pc : t -> int -> unit
   val push_call : t -> int -> unit
   val pop_call : t -> int option
-  val add_cycles : t -> int -> unit
-  val bump_insts : t -> unit
+  val retire : t -> int -> int -> unit
+  (** [retire t cycles pc]: a word completed — add its cycles, count it,
+      and set the micro PC to [pc]. *)
 
   val has_interrupt_work : t -> bool
   (** Whether interrupt delivery can still occur (schedule nonempty). *)

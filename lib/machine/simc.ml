@@ -1,15 +1,16 @@
 (* Compiled simulation engine.
 
-   The interpreter ([Sim.step]) re-decodes every microword on every cycle:
-   it filters the word's ops per phase, copies the register file for each
-   nonempty phase, walks the RTL tree, and builds fresh write-buffer lists
-   — all per step.  This module pays those costs once, at translation
-   time: the control store becomes a flowgraph of pre-decoded closures,
-   one per microinstruction, with operand registers, widths, branch
-   conditions and sequencing targets resolved up front.  Dispatch is
-   integer direct-threading: each word's closure stores its successor's
-   index into [next_pc] (an immediate store, no write barrier) and the
-   run loop is one indirect call through the code array per word.
+   The interpreter ([Sim.step]) splits each word by phase once, at load,
+   but still walks every op's RTL tree on every cycle, looking up operand
+   widths and named registers and allocating a bitvector per value and a
+   flag record per ALU op.  This module pays the decoding once, at
+   translation time: the control store becomes a flowgraph of
+   pre-decoded closures, one per microinstruction, with operand
+   registers, widths, branch conditions and sequencing targets resolved
+   up front.  Dispatch is integer direct-threading: each word's closure
+   stores its successor's index into [next_pc] (an immediate store, no
+   write barrier) and the run loop is one indirect call through the code
+   array per word.
 
    The hot path runs over a *shadow register file of unboxed ints*.  A
    value of width [w] is split at bit 62: the low part lives in an OCaml
@@ -45,11 +46,11 @@
    - Direct: a phase whose actions provably cannot observe each other's
      writes (single action, or pairwise write/read-disjoint with no
      memory access and no raising destination) executes straight against
-     the shadow file — no snapshot, no write buffer.  This covers the
-     hot kernels.
+     the shadow file, with no write buffer.  This covers the hot kernels.
    - Buffered: anything else gets the interpreter's exact discipline —
-     snapshot the shadow ints (an [Array.blit] of immediates), run the
-     actions into a preallocated write buffer, then commit in order. *)
+     run the actions into a preallocated write buffer, reading the live
+     shadow file (which no write touches until the commit, so it holds
+     the phase-start state), then commit in order. *)
 
 open Msl_bitvec
 module Diag = Msl_util.Diag
@@ -125,9 +126,6 @@ type t = {
   ints : int array;  (* shadow register file, bits 0..61 *)
   his : int array;  (* shadow register file, bits 62.. (wide regs only) *)
   widths : int array;  (* per-register widths, for the sync-out *)
-  has_wide : bool;  (* some register is wider than 62 bits *)
-  snap : int array;  (* phase-start snapshots, buffered path only *)
-  snap_hi : int array;
   wb : wbuf;
   use_int : bool;
       (* false when a register or the memory word exceeds 64 bits: every
@@ -266,10 +264,10 @@ let resize_value ~w (v : value) : value =
 
 (* -- expression compilation ---------------------------------------------- *)
 
-(* [src]/[src_hi] is where register reads come from: the live shadow
-   file on the direct path, the phase-start snapshot on the buffered
-   path.  Flags are read live in both — the interpreter does the same
-   (flag writes are buffered, so they are stable within a phase).  A
+(* [src]/[src_hi] is the live shadow file register reads come from, on
+   both paths; flags are read live too.  Like the interpreter, the
+   buffered path takes no snapshot: every write waits in the buffer
+   until the phase commits, so reads see the phase-start state.  A
    construct whose interpretation would raise at runtime (width
    mismatch, bad slice) is [Unsupported]: the enclosing word falls back
    to the interpreter, which raises identically. *)
@@ -773,16 +771,15 @@ let bitvec_of_value (v : value) () =
    by the phase runner).  Evaluation order — destination resolution
    first, then operands — matches the interpreter's, so a
    writes-to-immediate diagnostic fires at the same point. *)
-let compile_action e (src : int array) (src_hi : int array)
-    (args : Inst.arg array) (a : Rtl.action) ~(buf : wbuf option) :
-    unit -> unit =
+let compile_action e (args : Inst.arg array) (a : Rtl.action)
+    ~(buf : wbuf option) : unit -> unit =
   let s = e.sim in
   let d = Sim.desc s in
   let ints = e.ints and his = e.his in
   let flags = Sim.Engine.flags s in
   let mem = Sim.memory s in
   let mem_w = Memory.word_width mem in
-  let ce = compile_expr d src src_hi flags args in
+  let ce = compile_expr d ints his flags args in
   let dest = function
     | Rtl.D_reg name -> Some (Desc.get_reg d name).Desc.r_id
     | Rtl.D_opnd i -> (
@@ -992,7 +989,7 @@ let direct_ok d (acts : (Inst.arg array * Rtl.action) list) =
   ok info
 
 (* One phase of one word: either the direct fast path or the full
-   snapshot-and-buffer discipline (commit order: memory — which can
+   buffered discipline (commit order: memory — which can
    still fault, leaving earlier memory writes committed exactly as the
    interpreter does — then registers, then flags).  Returns the phase's
    runner closures: a direct phase contributes one closure per action
@@ -1004,41 +1001,21 @@ let compile_phase e (acts : (Inst.arg array * Rtl.action) list) :
   let d = Sim.desc s in
   let ints = e.ints and his = e.his in
   match acts with
-  | [ (args, a) ] -> [ compile_action e ints his args a ~buf:None ]
+  | [ (args, a) ] -> [ compile_action e args a ~buf:None ]
   | _ when direct_ok d acts ->
-      List.map
-        (fun (args, a) -> compile_action e ints his args a ~buf:None)
-        acts
+      List.map (fun (args, a) -> compile_action e args a ~buf:None) acts
   | _ ->
-      let snap = e.snap and snap_hi = e.snap_hi and wb = e.wb in
+      let wb = e.wb in
       let fns =
         Array.of_list
           (List.map
-             (fun (args, a) ->
-               compile_action e snap snap_hi args a ~buf:(Some wb))
+             (fun (args, a) -> compile_action e args a ~buf:(Some wb))
              acts)
       in
-      (* only the registers the phase's expressions actually read need a
-         snapshot slot — the compiled closures read nothing else *)
-      let rids =
-        Array.of_list
-          (List.sort_uniq compare
-             (List.concat_map
-                (fun (args, a) ->
-                  ids_of d args (Rtl.action_reads a)
-                    (Rtl.action_read_opnds a))
-                acts))
-      in
-      let wide = e.has_wide in
       let mem = Sim.memory s in
       let flags = Sim.Engine.flags s in
       [
         (fun () ->
-          for j = 0 to Array.length rids - 1 do
-            let k = Array.unsafe_get rids j in
-            snap.(k) <- ints.(k);
-            if wide then snap_hi.(k) <- his.(k)
-          done;
           wb.n_regs <- 0;
           wb.n_flags <- 0;
           wb.n_mem <- 0;
@@ -1153,20 +1130,17 @@ let fallback_word e =
 
 let compile_native e i (inst : Inst.t) =
   let s = e.sim in
-  let d = Sim.desc s in
-  let phases = Array.make d.Desc.d_phases [] in
-  List.iter
-    (fun (op : Inst.op) ->
-      let p = Inst.op_phase op in
-      phases.(p) <-
-        phases.(p)
-        @ List.map (fun a -> (op.Inst.op_args, a)) op.Inst.op_t.Desc.t_actions)
-    inst.Inst.ops;
+  let actions (op : Inst.op) =
+    List.map (fun a -> (op.Inst.op_args, a)) op.Inst.op_t.Desc.t_actions
+  in
   let runners =
     Array.of_list
       (List.concat_map
-         (fun acts -> if acts = [] then [] else compile_phase e acts)
-         (Array.to_list phases))
+         (fun ops ->
+           match List.concat_map actions ops with
+           | [] -> []
+           | acts -> compile_phase e acts)
+         (Array.to_list (Sim.Engine.phase_ops s).(i)))
   in
   let extra = 1 + Inst.inst_extra_cycles inst in
   let touches_mem = List.exists Inst.op_touches_memory inst.Inst.ops in
@@ -1191,18 +1165,14 @@ let compile_native e i (inst : Inst.t) =
       | [||] ->
           fun () ->
             if e.deliver then Sim.Engine.deliver_interrupts s;
-            Sim.Engine.add_cycles s extra;
-            Sim.Engine.bump_insts s;
-            Sim.Engine.set_pc s t;
+            Sim.Engine.retire s extra t;
             e.next_pc <- t
       | [| r |] -> (
           fun () ->
             if e.deliver then Sim.Engine.deliver_interrupts s;
             try
               r ();
-              Sim.Engine.add_cycles s extra;
-              Sim.Engine.bump_insts s;
-              Sim.Engine.set_pc s t;
+              Sim.Engine.retire s extra t;
               e.next_pc <- t
             with Memory.Page_fault addr ->
               Sim.Engine.service_page_fault s addr;
@@ -1213,9 +1183,7 @@ let compile_native e i (inst : Inst.t) =
             try
               r1 ();
               r2 ();
-              Sim.Engine.add_cycles s extra;
-              Sim.Engine.bump_insts s;
-              Sim.Engine.set_pc s t;
+              Sim.Engine.retire s extra t;
               e.next_pc <- t
             with Memory.Page_fault addr ->
               Sim.Engine.service_page_fault s addr;
@@ -1227,9 +1195,7 @@ let compile_native e i (inst : Inst.t) =
               for p = 0 to Array.length rs - 1 do
                 rs.(p) ()
               done;
-              Sim.Engine.add_cycles s extra;
-              Sim.Engine.bump_insts s;
-              Sim.Engine.set_pc s t;
+              Sim.Engine.retire s extra t;
               e.next_pc <- t
             with Memory.Page_fault addr ->
               Sim.Engine.service_page_fault s addr;
@@ -1239,26 +1205,20 @@ let compile_native e i (inst : Inst.t) =
       | [||] ->
           fun () ->
             if e.deliver then Sim.Engine.deliver_interrupts s;
-            Sim.Engine.add_cycles s extra;
-            Sim.Engine.bump_insts s;
-            Sim.Engine.set_pc s t;
+            Sim.Engine.retire s extra t;
             e.next_pc <- t
       | [| r |] ->
           fun () ->
             if e.deliver then Sim.Engine.deliver_interrupts s;
             r ();
-            Sim.Engine.add_cycles s extra;
-            Sim.Engine.bump_insts s;
-            Sim.Engine.set_pc s t;
+            Sim.Engine.retire s extra t;
             e.next_pc <- t
       | [| r1; r2 |] ->
           fun () ->
             if e.deliver then Sim.Engine.deliver_interrupts s;
             r1 ();
             r2 ();
-            Sim.Engine.add_cycles s extra;
-            Sim.Engine.bump_insts s;
-            Sim.Engine.set_pc s t;
+            Sim.Engine.retire s extra t;
             e.next_pc <- t
       | rs ->
           fun () ->
@@ -1266,9 +1226,7 @@ let compile_native e i (inst : Inst.t) =
             for p = 0 to Array.length rs - 1 do
               rs.(p) ()
             done;
-            Sim.Engine.add_cycles s extra;
-            Sim.Engine.bump_insts s;
-            Sim.Engine.set_pc s t;
+            Sim.Engine.retire s extra t;
             e.next_pc <- t
   end
   else
@@ -1278,29 +1236,25 @@ let compile_native e i (inst : Inst.t) =
         match runners with
         | [||] ->
             fun () ->
-              Sim.Engine.add_cycles s extra;
-              Sim.Engine.bump_insts s;
+              Sim.Engine.retire s extra i;
               seq ()
         | [| r |] ->
             fun () ->
               r ();
-              Sim.Engine.add_cycles s extra;
-              Sim.Engine.bump_insts s;
+              Sim.Engine.retire s extra i;
               seq ()
         | [| r1; r2 |] ->
             fun () ->
               r1 ();
               r2 ();
-              Sim.Engine.add_cycles s extra;
-              Sim.Engine.bump_insts s;
+              Sim.Engine.retire s extra i;
               seq ()
         | rs ->
             fun () ->
               for p = 0 to Array.length rs - 1 do
                 rs.(p) ()
               done;
-              Sim.Engine.add_cycles s extra;
-              Sim.Engine.bump_insts s;
+              Sim.Engine.retire s extra i;
               seq ()
       in
       fun () ->
@@ -1316,23 +1270,20 @@ let compile_native e i (inst : Inst.t) =
       | [||] ->
           fun () ->
             if e.deliver then Sim.Engine.deliver_interrupts s;
-            Sim.Engine.add_cycles s extra;
-            Sim.Engine.bump_insts s;
+            Sim.Engine.retire s extra i;
             seq ()
       | [| r |] ->
           fun () ->
             if e.deliver then Sim.Engine.deliver_interrupts s;
             r ();
-            Sim.Engine.add_cycles s extra;
-            Sim.Engine.bump_insts s;
+            Sim.Engine.retire s extra i;
             seq ()
       | [| r1; r2 |] ->
           fun () ->
             if e.deliver then Sim.Engine.deliver_interrupts s;
             r1 ();
             r2 ();
-            Sim.Engine.add_cycles s extra;
-            Sim.Engine.bump_insts s;
+            Sim.Engine.retire s extra i;
             seq ()
       | rs ->
           fun () ->
@@ -1340,8 +1291,7 @@ let compile_native e i (inst : Inst.t) =
             for p = 0 to Array.length rs - 1 do
               rs.(p) ()
             done;
-            Sim.Engine.add_cycles s extra;
-            Sim.Engine.bump_insts s;
+            Sim.Engine.retire s extra i;
             seq ()
 
 let compile_word e i (inst : Inst.t) =
@@ -1378,22 +1328,9 @@ let translate (s : Sim.t) =
     Array.for_all (fun w -> w <= 64) widths
     && Memory.word_width (Sim.memory s) <= 64
   in
-  (* capacity: the largest action count of any single phase bounds every
-     write-buffer use (each action contributes at most one register
-     write, five flag writes, one memory write) *)
-  let max_acts = ref 1 in
-  Array.iter
-    (fun (inst : Inst.t) ->
-      let per_phase = Array.make d.Desc.d_phases 0 in
-      List.iter
-        (fun (op : Inst.op) ->
-          let p = Inst.op_phase op in
-          per_phase.(p) <-
-            per_phase.(p) + List.length op.Inst.op_t.Desc.t_actions)
-        inst.Inst.ops;
-      Array.iter (fun n -> if n > !max_acts then max_acts := n) per_phase)
-    store;
-  let cap = !max_acts in
+  (* each action makes at most one register write, five flag writes and
+     one memory write *)
+  let cap = Sim.Engine.buffer_capacity s in
   let dummy = Bitvec.zero 1 in
   let e =
     {
@@ -1402,9 +1339,6 @@ let translate (s : Sim.t) =
       ints = Array.make nregs 0;
       his = Array.make nregs 0;
       widths;
-      has_wide = Array.exists (fun w -> w > 62) widths;
-      snap = Array.make nregs 0;
-      snap_hi = Array.make nregs 0;
       wb =
         {
           n_regs = 0;

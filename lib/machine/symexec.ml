@@ -738,11 +738,9 @@ let exec_phase ctx (d : Desc.t) (s : store) ops =
    symbolic [Sim.step] body (sequencing excluded; the validator compares
    that structurally). *)
 let exec_word ctx (d : Desc.t) (s : store) (ops : Inst.op list) =
-  for p = 0 to d.Desc.d_phases - 1 do
-    match List.filter (fun op -> Inst.op_phase op = p) ops with
-    | [] -> ()
-    | phase_ops -> exec_phase ctx d s phase_ops
-  done
+  Array.iter
+    (function [] -> () | phase_ops -> exec_phase ctx d s phase_ops)
+    (Inst.ops_by_phase d ops)
 
 (* Pairwise store comparison goals, for [decide]. *)
 let store_pairs (a : store) (b : store) =

@@ -207,9 +207,26 @@ let props w =
              > 0));
   ]
 
+(* Resizing to a vector's own width is the identity (the interpreter
+   resizes every operand and result, mostly to the width they already
+   have); a width outside 1..64 still raises, whatever the vector. *)
+let resize_identity =
+  QCheck.Test.make ~count:500 ~name:"resize to own width is identity"
+    QCheck.(pair (int_range 1 64) int64)
+    (fun (w, x) ->
+      let v = Bitvec.of_int64 ~width:w x in
+      let raises width =
+        match Bitvec.resize ~width v with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      Bitvec.equal (Bitvec.resize ~width:(Bitvec.width v) v) v
+      && raises 0 && raises 65 && raises (-w))
+
 let () =
   let qsuite =
-    List.map QCheck_alcotest.to_alcotest (props 8 @ props 16 @ props 64 @ props 5)
+    List.map QCheck_alcotest.to_alcotest
+      (props 8 @ props 16 @ props 64 @ props 5 @ [ resize_identity ])
   in
   Alcotest.run "bitvec"
     [

@@ -401,6 +401,29 @@ let test_proof_no_direct_major () =
       (Core.Toolkit.Yalll, "gcd.yll", Machines.v11);
     ]
 
+(* The interpreter's per-cycle allocation: Sim.run of the -O2 SIMPL
+   multiply on HP3 (3000 x 7, 9003 cycles).  It read about 129 minor
+   words per cycle while each step filtered its word's ops per phase,
+   copied the register file per phase and consed its write buffer; with
+   the word split at load and a preallocated buffer it reads about 32,
+   the bitvector arithmetic itself. *)
+let test_interp_alloc_per_cycle () =
+  let o2 = { Msl_mir.Pipeline.default_options with opt_level = 2 } in
+  let c =
+    Core.Toolkit.compile ~options:o2 Core.Toolkit.Simpl Machines.hp3
+      Core.Handcoded.simpl_mpy
+  in
+  let sim = Core.Toolkit.load c in
+  Sim.set_reg_int sim "R1" 3000;
+  Sim.set_reg_int sim "R2" 7;
+  let w0 = Gc.minor_words () in
+  check_bool "halted" true (Sim.run sim = Sim.Halted);
+  let words = Gc.minor_words () -. w0 in
+  check_int "product" 21000 (Bitvec.to_int (Sim.get_reg sim "R3"));
+  let per_cycle = words /. float_of_int (Sim.cycles sim) in
+  if per_cycle >= 64. then
+    Alcotest.failf "%.1f minor words per simulated cycle (bound 64)" per_cycle
+
 let () =
   Alcotest.run "core"
     [
@@ -440,5 +463,7 @@ let () =
             test_load_no_minor_gc;
           Alcotest.test_case "proofs allocate nothing straight into the major heap"
             `Quick test_proof_no_direct_major;
+          Alcotest.test_case "interpreter allocates under 64 words per cycle"
+            `Quick test_interp_alloc_per_cycle;
         ] );
     ]

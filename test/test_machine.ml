@@ -316,15 +316,34 @@ let test_sim_phases_chain () =
   check_int "phase 1 sees phase 0 result" 42 (Bitvec.to_int (Sim.get_reg sim "R3"))
 
 let test_sim_same_phase_snapshot () =
-  (* Two transfers in the same phase read the phase-start state: a swap via
-     parallel moves needs no temporary... but two movs clash on H1's abus,
-     so use mov (abus, phase 0) and inc (ctr, phase 1) on distinct regs to
-     check snapshot isolation across phases instead; and verify the
-     read-before-write rule with an ALU op reading its own destination. *)
+  (* Every read in a phase sees the phase-start state.  First an ALU op
+     reading its own destination; then an exchange between two ops of one
+     phase (mov on the abus, add on the alu, both phase 0), where each op
+     reads the other's destination.  The exchange runs on both engines:
+     neither takes a snapshot, so the rule rests on every write being
+     buffered until the phase commits. *)
   let d = Machines.hp3 in
   let src = "  [ ldc R1, #5 ]\n  [ add R1, R1, R1 ]\n  [ ] -> halt\n" in
   let sim = run_program d src in
-  check_int "x := x + x" 10 (Bitvec.to_int (Sim.get_reg sim "R1"))
+  check_int "x := x + x" 10 (Bitvec.to_int (Sim.get_reg sim "R1"));
+  let prog =
+    Masm.parse_program d "  [ mov R1, R2 | add R2, R1, R1 ] -> halt\n"
+  in
+  List.iter
+    (fun (engine, run) ->
+      let sim = Sim.create d in
+      Sim.load_store sim prog;
+      Sim.set_reg_int sim "R1" 5;
+      Sim.set_reg_int sim "R2" 7;
+      check_bool (engine ^ " halted") true (run sim = Sim.Halted);
+      check_int (engine ^ ": R1 := R2") 7
+        (Bitvec.to_int (Sim.get_reg sim "R1"));
+      check_int (engine ^ ": R2 := R1 + R1") 10
+        (Bitvec.to_int (Sim.get_reg sim "R2")))
+    [
+      ("Sim", fun sim -> Sim.run sim);
+      ("Simc", fun sim -> Simc.run (Simc.translate sim));
+    ]
 
 let test_sim_memory_ops () =
   let d = Machines.hp3 in
