@@ -27,13 +27,6 @@ val encode : minst -> int
 
 val assemble : minst list -> int list
 
-val interpreter_hp3 : string
-(** The microcoded interpreter, in microassembly (fetch / dispatch /
-    execute; PC = R20, ACC = R21, IR = R22). *)
-
-val code_base : int
-(** Where macro code is loaded in main memory. *)
-
 val run :
   ?fuel:int -> ?setup:(Msl_machine.Sim.t -> unit) -> minst list ->
   Msl_machine.Sim.t

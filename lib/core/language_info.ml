@@ -214,7 +214,6 @@ let symbolic_count =
   count (fun l -> l.variables = Symbolic || l.variables = Partly_symbolic)
 let parameter_passing_count = count (fun l -> l.subroutine_parameters)
 let interrupts_count = count (fun l -> l.interrupts_addressed)
-let verification_count = count (fun l -> l.verification)
 
 let variables_name = function
   | Registers -> "registers"

@@ -36,12 +36,8 @@ val explicit_count : int
 val symbolic_count : int
 val parameter_passing_count : int
 val interrupts_count : int
-val verification_count : int
 
 (** {1 Rendering} *)
 
-val variables_name : variables -> string
-val parallelism_name : parallelism -> string
-val implementation_name : implementation -> string
 val to_table : unit -> Msl_util.Tbl.t
 val tallies_table : unit -> Msl_util.Tbl.t

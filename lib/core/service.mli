@@ -112,9 +112,6 @@ type faults = {
   f_delay_ms : float;  (** length of that sleep *)
 }
 
-val no_faults : faults
-(** Zero probabilities: injection fully disabled. *)
-
 type t
 
 val create : ?domains:int -> ?capacity:int -> ?cache_dir:string -> unit -> t

@@ -102,8 +102,6 @@ let fits d placed op =
   in
   loop placed
 
-let compatible d op1 op2 = pair_conflict d op1 op2 = None
-
 (* Validate a fully-formed microinstruction (used on hand-written and
    S*-composed code, where the human did the packing). *)
 let check_inst d (inst : Inst.t) =

@@ -19,8 +19,6 @@ val pair_conflict : Desc.t -> Inst.op -> Inst.op -> reason option
 (** [None] when the two ops may coexist.  Two literally identical
     instances always coexist (they ask for the same control-word bits). *)
 
-val compatible : Desc.t -> Inst.op -> Inst.op -> bool
-
 val fits : Desc.t -> Inst.op list -> Inst.op -> (unit, reason) result
 (** May [op] join the ops already placed in a word under construction? *)
 

@@ -329,9 +329,9 @@ let make ~name ~word ~addr ~phases ~regs ~units ~fields ~templates ~cond_caps
     }
 
 (* Convenience constructors for descriptions built in OCaml (Sweeper, tests). *)
-let mkreg ?(classes = [ "gpr" ]) ?(macro = false) id name width =
+let mkreg ?(classes = [ "gpr" ]) id name width =
   { r_id = id; r_name = name; r_width = width; r_classes = classes;
-    r_macro = macro }
+    r_macro = false }
 
 let add_cond d buf = function
   | C_flag (f, v) ->

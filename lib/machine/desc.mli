@@ -178,7 +178,7 @@ val word_bits : t -> int
 
 (** {1 Authoring helpers} *)
 
-val mkreg : ?classes:string list -> ?macro:bool -> int -> string -> int -> reg
+val mkreg : ?classes:string list -> int -> string -> int -> reg
 
 val add_cond : t -> Buffer.t -> cond -> unit
 (** Appends a sequencer condition as listings show it ([Z], [!C],

@@ -108,8 +108,6 @@ let encode_inst (d : Desc.t) (inst : Inst.t) : word =
   | Inst.Halt -> setf "seq" seq_halt);
   wr.w
 
-let encode_program d insts = List.map (encode_inst d) insts
-
 (* Bits of control store a program occupies: the survey's horizontal-vs-
    vertical space comparison (T7). *)
 let program_bits d insts = List.length insts * word_bits d
@@ -134,14 +132,6 @@ let word_to_hex (w : word) =
         v := (!v lsl 1) lor (if idx < Array.length w && w.(idx) then 1 else 0)
       done;
       "0123456789abcdef".[!v])
-
-let word_to_bitvec (w : word) =
-  if Array.length w > 64 then invalid_arg "Encode.word_to_bitvec: > 64 bits";
-  let v = ref 0L in
-  for i = Array.length w - 1 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 1) (if w.(i) then 1L else 0L)
-  done;
-  Bitvec.of_int64 ~width:(Array.length w) !v
 
 (* -- disassembly ---------------------------------------------------------- *)
 

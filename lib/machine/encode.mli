@@ -15,22 +15,11 @@ val word_bits : Desc.t -> int
 val field : Desc.t -> string -> Desc.field
 (** @raise Msl_util.Diag.Error when the field does not exist. *)
 
-(** Sequencer opcode values placed in the ["seq"] field. *)
-
-val seq_next : int
-val seq_jump : int
-val seq_branch : int
-val seq_dispatch : int
-val seq_call : int
-val seq_return : int
 val seq_halt : int
-
-val cond_code : Desc.cond -> int
+(** The halt opcode of the ["seq"] field. *)
 
 val encode_inst : Desc.t -> Inst.t -> word
 (** @raise Msl_util.Diag.Error on a field clash or an over-wide value. *)
-
-val encode_program : Desc.t -> Inst.t list -> word list
 
 val program_bits : Desc.t -> Inst.t list -> int
 (** Control-store bits the program occupies (experiment T7). *)
@@ -39,17 +28,6 @@ val decode_fields : Desc.t -> word -> (string * int) list
 
 val word_to_hex : word -> string
 
-val word_to_bitvec : word -> Msl_bitvec.Bitvec.t
-(** @raise Invalid_argument beyond 64 bits. *)
-
 (** {1 Disassembly} *)
-
-val decode_ops : Desc.t -> word -> Inst.op list
-(** Recover the operations of a control word from the machine description
-    (the most-specific matching template per field group).  Templates
-    without constant fields (nop) decode as no operation. *)
-
-val decode_next : Desc.t -> word -> Inst.next
-(** @raise Msl_util.Diag.Error on malformed sequencer/condition codes. *)
 
 val decode_inst : Desc.t -> word -> Inst.t

@@ -26,8 +26,6 @@ type next =
 
 type t = { ops : op list; next : next }
 
-let nop_inst = { ops = []; next = Next }
-
 (* -- construction ------------------------------------------------------- *)
 
 let arg_matches d (spec : Desc.operand_spec) = function

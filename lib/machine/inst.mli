@@ -23,8 +23,6 @@ type next =
 
 type t = { ops : op list; next : next }
 
-val nop_inst : t
-
 val make : Desc.t -> string -> arg list -> op
 (** [make d template_name args] builds an instance, checking operand count,
     register classes and immediate widths.
@@ -42,7 +40,6 @@ val op_reads_flags : op -> Rtl.flag list
 val op_touches_memory : op -> bool
 val op_units : op -> string list
 val op_phase : op -> int
-val op_extra_cycles : op -> int
 
 val op_field_values : op -> (string * int) list
 (** Resolved control-word settings: register operands encode as their id,

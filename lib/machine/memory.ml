@@ -10,7 +10,6 @@ exception Page_fault of int  (* faulting word address *)
 
 type t = {
   word_width : int;
-  page_size : int;  (* words per page *)
   words : Bitvec.t array;
   present : bool array;
   mutable reads : int;
@@ -18,12 +17,13 @@ type t = {
   mutable faults : int;
 }
 
-let create ?(page_size = 256) ~word_width ~words () =
+let page_size = 256 (* words per page *)
+
+let create ~word_width ~words =
   if words <= 0 then invalid_arg "Memory.create: size must be positive";
   let npages = (words + page_size - 1) / page_size in
   {
     word_width;
-    page_size;
     words = Array.make words (Bitvec.zero word_width);
     present = Array.make npages true;
     reads = 0;
@@ -34,7 +34,7 @@ let create ?(page_size = 256) ~word_width ~words () =
 let size t = Array.length t.words
 let word_width t = t.word_width
 
-let page_of t addr = addr / t.page_size
+let page_of _ addr = addr / page_size
 
 (* The raising paths are outlined so [check] stays small enough for the
    compiler to inline into the simulators' per-word memory accesses. *)
@@ -53,7 +53,7 @@ let[@inline never] fault t addr =
 
 let[@inline] check t addr =
   if addr < 0 || addr >= Array.length t.words then out_of_range addr;
-  if not t.present.(addr / t.page_size) then fault t addr
+  if not t.present.(addr / page_size) then fault t addr
 
 let read t addr =
   check t addr;

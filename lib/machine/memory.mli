@@ -8,8 +8,8 @@ exception Page_fault of int  (** faulting word address *)
 
 type t
 
-val create : ?page_size:int -> word_width:int -> words:int -> unit -> t
-(** [page_size] defaults to 256 words.
+val create : word_width:int -> words:int -> t
+(** Pages are 256 words.
     @raise Invalid_argument when [words <= 0]. *)
 
 val size : t -> int
@@ -42,7 +42,6 @@ val load_ints : t -> base:int -> int list -> unit
 val reads : t -> int
 val writes : t -> int
 val faults : t -> int
-val reset_counters : t -> unit
 
 val reset : t -> unit
 (** Back to the post-{!create} state, in place: all words zero, all pages

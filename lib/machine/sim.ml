@@ -78,7 +78,7 @@ let create ?(trap_mode = Fault_is_error) (desc : Desc.t) =
     regs =
       Array.map (fun (r : Desc.reg) -> Bitvec.zero r.Desc.r_width) desc.d_regs;
     flags = Array.make 5 false;
-    mem = Memory.create ~word_width:desc.d_word ~words:mem_words ();
+    mem = Memory.create ~word_width:desc.d_word ~words:mem_words;
     store = [||];
     phase_ops = [||];
     extra = [||];
@@ -110,7 +110,6 @@ let pc t = t.mpc
 let cycles t = t.cycles
 let insts_executed t = t.insts_executed
 let traps_taken t = t.traps_taken
-let interrupt_polls t = t.int_polls
 let interrupts_serviced t = t.int_serviced
 
 let interrupt_latency_stats t =
@@ -125,10 +124,6 @@ let get_reg_id t id = t.regs.(id)
 let set_reg t name v =
   let r = Desc.get_reg t.desc name in
   t.regs.(r.Desc.r_id) <- Bitvec.resize ~width:r.Desc.r_width v
-
-let set_reg_id t id v =
-  let r = Desc.reg t.desc id in
-  t.regs.(id) <- Bitvec.resize ~width:r.Desc.r_width v
 
 let set_reg_int t name v =
   let r = Desc.get_reg t.desc name in

@@ -62,7 +62,6 @@ val run : ?fuel:int -> t -> status
 val get_reg : t -> string -> Msl_bitvec.Bitvec.t
 val get_reg_id : t -> int -> Msl_bitvec.Bitvec.t
 val set_reg : t -> string -> Msl_bitvec.Bitvec.t -> unit
-val set_reg_id : t -> int -> Msl_bitvec.Bitvec.t -> unit
 val set_reg_int : t -> string -> int -> unit
 val get_flag : t -> Rtl.flag -> bool
 val set_flag : t -> Rtl.flag -> bool -> unit
@@ -75,10 +74,6 @@ val pc : t -> int
 val cycles : t -> int
 val insts_executed : t -> int
 val traps_taken : t -> int
-
-val interrupt_polls : t -> int
-(** How many times a [C_int_pending] condition was evaluated — the
-    poll-point activity §2.1.5's latency story is about. *)
 
 (** {1 Interrupts and traps} *)
 

@@ -127,10 +127,6 @@ type t = {
   his : int array;  (* shadow register file, bits 62.. (wide regs only) *)
   widths : int array;  (* per-register widths, for the sync-out *)
   wb : wbuf;
-  use_int : bool;
-      (* false when a register or the memory word exceeds 64 bits: every
-         word then runs through the interpreter fallback and the shadow
-         file is unused *)
   mutable next_pc : int;
       (* the direct-threading slot: the run loop dispatches through
          [code.(next_pc)].  An int rather than a closure, so installing a
@@ -145,34 +141,29 @@ type t = {
 let sim e = e.sim
 let words e = Array.length e.code - 1
 let native_words e = e.n_native
-let fallback_words e = e.n_fallback
 
 (* -- shadow-file synchronization ----------------------------------------- *)
 
 let sync_in e =
-  if e.use_int then begin
-    let regs = Sim.Engine.regs e.sim in
-    for i = 0 to Array.length regs - 1 do
-      let v = Bitvec.to_int64 regs.(i) in
-      e.ints.(i) <- Int64.to_int (Int64.logand v m62_64);
-      e.his.(i) <- Int64.to_int (Int64.shift_right_logical v 62)
-    done
-  end
+  let regs = Sim.Engine.regs e.sim in
+  for i = 0 to Array.length regs - 1 do
+    let v = Bitvec.to_int64 regs.(i) in
+    e.ints.(i) <- Int64.to_int (Int64.logand v m62_64);
+    e.his.(i) <- Int64.to_int (Int64.shift_right_logical v 62)
+  done
 
 let sync_out e =
-  if e.use_int then begin
-    let regs = Sim.Engine.regs e.sim in
-    for i = 0 to Array.length regs - 1 do
-      let w = e.widths.(i) in
-      regs.(i) <-
-        (if w <= 62 then Bitvec.of_int ~width:w e.ints.(i)
-         else
-           Bitvec.of_int64 ~width:w
-             (Int64.logor
-                (Int64.of_int e.ints.(i))
-                (Int64.shift_left (Int64.of_int e.his.(i)) 62)))
-    done
-  end
+  let regs = Sim.Engine.regs e.sim in
+  for i = 0 to Array.length regs - 1 do
+    let w = e.widths.(i) in
+    regs.(i) <-
+      (if w <= 62 then Bitvec.of_int ~width:w e.ints.(i)
+       else
+         Bitvec.of_int64 ~width:w
+           (Int64.logor
+              (Int64.of_int e.ints.(i))
+              (Int64.shift_left (Int64.of_int e.his.(i)) 62)))
+  done
 
 (* -- control flow -------------------------------------------------------- *)
 
@@ -1295,7 +1286,7 @@ let compile_native e i (inst : Inst.t) =
             seq ()
 
 let compile_word e i (inst : Inst.t) =
-  if (not e.use_int) || word_has_int_ack inst then begin
+  if word_has_int_ack inst then begin
     e.n_fallback <- e.n_fallback + 1;
     fallback_word e
   end
@@ -1324,10 +1315,6 @@ let translate (s : Sim.t) =
   let d = Sim.desc s in
   let nregs = Array.length (Sim.Engine.regs s) in
   let widths = Array.init nregs (fun i -> (Desc.reg d i).Desc.r_width) in
-  let use_int =
-    Array.for_all (fun w -> w <= 64) widths
-    && Memory.word_width (Sim.memory s) <= 64
-  in
   (* each action makes at most one register write, five flag writes and
      one memory write *)
   let cap = Sim.Engine.buffer_capacity s in
@@ -1352,7 +1339,6 @@ let translate (s : Sim.t) =
           mem_addrs = Array.make cap 0;
           mem_vals = Array.make cap dummy;
         };
-      use_int;
       next_pc = 0;
       bad_pc = 0;
       deliver = false;

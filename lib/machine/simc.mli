@@ -40,6 +40,3 @@ val words : t -> int
 
 val native_words : t -> int
 (** Words compiled to native closures. *)
-
-val fallback_words : t -> int
-(** Words delegated to {!Sim.step} (interrupt-service boundaries). *)

@@ -101,7 +101,6 @@ let const ctx v =
   mk ctx ~width:(Bitvec.width v) ~has_mem:false (Const v)
     (Kconst (Bitvec.width v, Bitvec.to_int64 v))
 
-let const_int ctx ~width n = const ctx (Bitvec.of_int ~width n)
 let false_ ctx = const ctx (Bitvec.of_bool false)
 let true_ ctx = const ctx (Bitvec.of_bool true)
 
@@ -641,20 +640,21 @@ let dest_reg_id (d : Desc.t) (args : Inst.arg array) = function
           Diag.error Diag.Execution "microop writes to an immediate operand")
 
 (* Symbolic mirror of [Sim.eval]: operand and register reads sample the
-   phase-start snapshot. *)
-let rec seval ctx (d : Desc.t) (snap_regs : t array) (snap_flags : t array)
-    (args : Inst.arg array) (e : Rtl.expr) : t =
-  let ev e = seval ctx d snap_regs snap_flags args e in
+   live store, which holds the phase-start state while the phase's writes
+   wait in [exec_phase]'s buffers. *)
+let rec seval ctx (d : Desc.t) (s : store) (args : Inst.arg array)
+    (e : Rtl.expr) : t =
+  let ev e = seval ctx d s args e in
   match e with
   | Rtl.Opnd i -> (
       match args.(i) with
       | Inst.A_reg r ->
           ignore (reg_info d r);
-          snap_regs.(r)
+          s.st_regs.(r)
       | Inst.A_imm v -> const ctx v)
-  | Rtl.Reg name -> snap_regs.((Desc.get_reg d name).Desc.r_id)
+  | Rtl.Reg name -> s.st_regs.((Desc.get_reg d name).Desc.r_id)
   | Rtl.Const v -> const ctx v
-  | Rtl.Flag f -> snap_flags.(flag_index f)
+  | Rtl.Flag f -> s.st_flags.(flag_index f)
   | Rtl.Add (a, b) -> add ctx (ev a) (ev b)
   | Rtl.Sub (a, b) -> sub ctx (ev a) (ev b)
   | Rtl.And (a, b) -> logand ctx (ev a) (ev b)
@@ -666,13 +666,12 @@ let rec seval ctx (d : Desc.t) (snap_regs : t array) (snap_flags : t array)
   | Rtl.Zext (w, a) -> zext ctx w (ev a)
   | Rtl.Mux (c, a, b) -> mux ctx (ev c) (ev a) (ev b)
 
-(* Symbolic mirror of [Sim.exec_phase]: reads (including memory reads and
-   the adc carry-in) against the phase-start snapshot, writes buffered and
-   committed memory-first, each class in action order. *)
+(* Symbolic mirror of [Sim.exec_phase]: every register, flag and memory
+   write is buffered until the phase's actions are all evaluated, so reads
+   of the live store (memory reads and the adc carry-in included) see the
+   phase-start state.  Writes commit memory-first, each class in action
+   order. *)
 let exec_phase ctx (d : Desc.t) (s : store) ops =
-  let snap_regs = Array.copy s.st_regs in
-  let snap_flags = Array.copy s.st_flags in
-  let snap_mem = s.st_mem in
   let wb_regs = ref [] and wb_flags = ref [] and wb_mem = ref [] in
   let wb_ack = ref false in
   let buffer_flags op v1 v2 cin =
@@ -687,7 +686,7 @@ let exec_phase ctx (d : Desc.t) (s : store) ops =
   List.iter
     (fun (op : Inst.op) ->
       let args = op.Inst.op_args in
-      let ev e = seval ctx d snap_regs snap_flags args e in
+      let ev e = seval ctx d s args e in
       List.iter
         (fun (a : Rtl.action) ->
           match a with
@@ -700,23 +699,23 @@ let exec_phase ctx (d : Desc.t) (s : store) ops =
               let w = (reg_info d id).Desc.r_width in
               let v1 = zext ctx w (ev e1) in
               let v2 = zext ctx w (ev e2) in
-              let cin = snap_flags.(0) in
+              let cin = s.st_flags.(0) in
               wb_regs := (id, alu ctx op2 v1 v2 ~carry:cin) :: !wb_regs;
               buffer_flags op2 v1 v2 cin
           | Rtl.Arith_flags (op2, e1, e2) ->
               let v1 = ev e1 in
               let v2 = zext ctx v1.width (ev e2) in
-              buffer_flags op2 v1 v2 snap_flags.(0)
+              buffer_flags op2 v1 v2 s.st_flags.(0)
           | Rtl.Arith_nf (dst, op2, e1, e2) ->
               let id = dest_reg_id d args dst in
               let w = (reg_info d id).Desc.r_width in
               let v1 = zext ctx w (ev e1) in
               let v2 = zext ctx w (ev e2) in
-              wb_regs := (id, alu ctx op2 v1 v2 ~carry:snap_flags.(0)) :: !wb_regs
+              wb_regs := (id, alu ctx op2 v1 v2 ~carry:s.st_flags.(0)) :: !wb_regs
           | Rtl.Mem_read (dst, addr) ->
               let id = dest_reg_id d args dst in
               let a = zext ctx 62 (ev addr) in
-              let v = mem_sel ctx snap_mem a in
+              let v = mem_sel ctx s.st_mem a in
               wb_regs := (id, zext ctx (reg_info d id).Desc.r_width v) :: !wb_regs
           | Rtl.Mem_write (addr, value) ->
               let a = zext ctx 62 (ev addr) in

@@ -47,8 +47,6 @@ val create_ctx : unit -> ctx
 
 val var : ctx -> string -> int -> t
 val const : ctx -> Bitvec.t -> t
-val const_int : ctx -> width:int -> int -> t
-val false_ : ctx -> t
 val true_ : ctx -> t
 val add : ctx -> t -> t -> t
 val sub : ctx -> t -> t -> t
@@ -68,16 +66,6 @@ val alu : ctx -> Rtl.abinop -> t -> t -> carry:t -> t
 (** The ALU result of [op a b] with the given carry-in term, normalized:
     add/adc/sub/and/or/xor/mul are rewritten to ring/lattice nodes (adc
     becomes [a + b + zext carry]); only shifts/rotates stay opaque. *)
-
-val alu_flag : ctx -> Rtl.flag -> Rtl.abinop -> t -> t -> carry:t -> t
-(** One condition-code output of [op a b], mirroring [Rtl.eval_abinop] and
-    [Bitvec.flags_of]: Z is an is-zero test of the result, N its sign bit,
-    and flags an op pins to false become constant false. *)
-
-val mem_init : ctx -> word:int -> t
-val mem_var : ctx -> string -> word:int -> t
-val mem_store : ctx -> t -> t -> t -> t
-val mem_sel : ctx -> t -> t -> t
 
 (** {1 Concrete evaluation} *)
 
@@ -146,8 +134,8 @@ val havoc : prefix:string -> ctx -> Desc.t -> store -> unit
 
 val exec_word : ctx -> Desc.t -> store -> Inst.op list -> unit
 (** Execute one microinstruction's operations phase by phase, mirroring
-    [Sim.step]'s transport-delay model: reads sample the phase-start
-    snapshot, writes commit together (memory, then registers, then flags,
+    [Sim.step]'s transport-delay model: reads see the phase-start state,
+    writes commit together (memory, then registers, then flags,
     in action order).  @raise Msl_util.Diag.Error as [Sim] would (e.g. a
     write to an immediate operand). *)
 

@@ -21,8 +21,6 @@ type op_info = {
   i_phase : int;
 }
 
-val op_info : Desc.t -> Inst.op -> op_info
-
 val build : Desc.t -> Inst.op array -> op_info array * edge list
 (** All dependence edges of a straight-line block. *)
 
@@ -36,7 +34,6 @@ val min_delta : chain:bool -> op_info array -> edge -> int
 (** 0 when sharing is allowed, else 1 (strictly later word). *)
 
 val preds_by_dst : int -> edge list -> edge list array
-val succs_by_src : int -> edge list -> edge list array
 
 val path_lengths : chain:bool -> op_info array -> edge list -> int array
 (** Longest dependence chain (in words) starting at each op: the
@@ -45,8 +42,6 @@ val path_lengths : chain:bool -> op_info array -> edge list -> int array
 val critical_path : chain:bool -> op_info array -> edge list -> int
 
 (** {1 Over MIR statements (the single-identity order)} *)
-
-val stmt_edges : Mir.stmt list -> edge list
 
 val stmt_levels : Mir.stmt list -> int list
 (** ASAP level of each statement; WAR edges allow sharing a level. *)

@@ -132,8 +132,6 @@ let finding_fields f =
     ("message", J_str f.f_message);
   ]
 
-let finding_to_json f = Trace.json_line (finding_fields f)
-
 let report_json ~machine fs =
   Trace.json_line
     [

@@ -10,8 +10,6 @@
 
 type severity = Error | Warning | Info
 
-val severity_name : severity -> string
-
 (** Where a finding points.  Machine-level findings carry the
     control-store address plus the label of the owning block when the
     linker's label table is available — the provenance chain back to the
@@ -52,7 +50,6 @@ val pp_finding : Format.formatter -> finding -> unit
 (** One line: [severity[code] location: message]. *)
 
 val finding_to_sexp : finding -> string
-val finding_to_json : finding -> string
 
 val report_sexp : machine:string -> finding list -> string
 val report_json : machine:string -> finding list -> string

@@ -113,17 +113,6 @@ let term_targets = function
 
 let all_blocks p = p.main @ List.concat_map (fun pr -> pr.p_blocks) p.procs
 
-(* Label-indexed view of the blocks, for repeated lookups (first
-   binding wins, matching list order). *)
-let block_table p =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun b -> if not (Hashtbl.mem tbl b.b_label) then Hashtbl.add tbl b.b_label b)
-    (all_blocks p);
-  tbl
-
-let find_block p l = Hashtbl.find_opt (block_table p) l
-
 (* Every virtual register mentioned anywhere in the program. *)
 let program_vregs p =
   let add acc = function Virt v -> v :: acc | Phys _ -> acc in

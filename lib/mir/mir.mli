@@ -79,16 +79,9 @@ val assign : ?set_flags:bool -> reg -> rvalue -> stmt
 val rvalue_reads : rvalue -> reg list
 val stmt_reads : stmt -> reg list
 val stmt_writes : stmt -> reg list
-val cond_reads : cond -> reg list
 val term_reads : term -> reg list
 val term_targets : term -> label list
 val all_blocks : program -> block list
-
-val block_table : program -> (label, block) Hashtbl.t
-(** Label-indexed view of {!all_blocks}; first binding wins.  Build once
-    for repeated lookups. *)
-
-val find_block : program -> label -> block option
 
 val program_vregs : program -> int list
 (** Every virtual register mentioned anywhere, sorted. *)
@@ -100,8 +93,5 @@ val validate : program -> program
 (** {1 Printing} *)
 
 val pp_reg : (int * string) list -> Format.formatter -> reg -> unit
-val pp_stmt : (int * string) list -> Format.formatter -> stmt -> unit
 val pp_cond : (int * string) list -> Format.formatter -> cond -> unit
-val pp_term : (int * string) list -> Format.formatter -> term -> unit
-val pp_block : (int * string) list -> Format.formatter -> block -> unit
 val pp : Format.formatter -> program -> unit

@@ -51,7 +51,6 @@ val make_ctx : Desc.t -> ctx
 
 val emit_const : ctx -> int -> Msl_bitvec.Bitvec.t -> Inst.op list
 val emit_const_int : ctx -> int -> int -> Inst.op list
-val emit_move : ctx -> int -> int -> Inst.op list
 
 val emit_binop :
   ?set_flags:bool -> ctx -> int -> Rtl.abinop -> int -> int -> Inst.op list
@@ -65,8 +64,6 @@ val emit_shift_imm :
 val emit_inc : ctx -> int -> int -> Inst.op list
 val emit_dec : ctx -> int -> int -> Inst.op list
 val emit_not : ctx -> int -> int -> Inst.op list
-val emit_neg : ctx -> int -> int -> Inst.op list
-val emit_test : ctx -> int -> Inst.op list
 val emit_load : ctx -> int -> int -> Inst.op list
 val emit_load_abs : ctx -> int -> int -> Inst.op list
 val emit_store : ctx -> int -> int -> Inst.op list
@@ -74,14 +71,7 @@ val emit_store_abs : ctx -> int -> int -> Inst.op list
 
 (** {1 Statement and block lowering} *)
 
-val emit_stmt : ctx -> Mir.stmt -> Inst.op list
+val select_block : ctx -> Mir.block -> lowered_block
 (** @raise Msl_util.Diag.Error on virtual registers (run the allocator
     first), on division (run {!Lower.expand} first), and on operations the
     machine cannot express. *)
-
-val lower_cond : ctx -> Mir.cond -> Inst.op list * Desc.cond
-(** (extra flag-producing ops, machine condition). *)
-
-val lower_term : ctx -> Mir.term -> Inst.op list * tail_inst list
-
-val select_block : ctx -> Mir.block -> lowered_block

@@ -67,8 +67,6 @@ type stats = {
   mutable s_memo_misses : int;
 }
 
-val empty_stats : unit -> stats
-
 (** A content-addressed memo for window search results.  Keys are hex
     digests of (machine, window, chain, node budget); values are opaque
     strings produced and consumed by this module only.  A [memo_find]

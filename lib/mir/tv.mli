@@ -44,10 +44,6 @@ type result = {
       (** the first concrete counterexample, for replay *)
 }
 
-val empty_result : result
-
-val validate_artifact : Desc.t -> artifact -> verdict
-
 val validate_artifacts : Desc.t -> artifact list -> result
 
 val validate_words :

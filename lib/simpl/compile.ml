@@ -335,16 +335,3 @@ let compile (d : Desc.t) (p : Ast.program) : Mir.program =
   }
 
 let parse_compile ?file d src = compile d (Parser.parse ?file src)
-
-(* The single-identity parallelism profile of a program: for each basic
-   block, (statement count, dependence depth).  Experiment F1. *)
-let parallelism_profile (p : Mir.program) =
-  List.filter_map
-    (fun (blk : Mir.block) ->
-      match blk.Mir.b_stmts with
-      | [] -> None
-      | stmts ->
-          let levels = Dataflow.stmt_levels stmts in
-          let depth = 1 + List.fold_left max 0 levels in
-          Some (blk.Mir.b_label, List.length stmts, depth))
-    (Mir.all_blocks p)

@@ -11,7 +11,3 @@ val compile : Msl_machine.Desc.t -> Ast.program -> Msl_mir.Mir.program
 
 val parse_compile :
   ?file:string -> Msl_machine.Desc.t -> string -> Msl_mir.Mir.program
-
-val parallelism_profile : Msl_mir.Mir.program -> (string * int * int) list
-(** Per nonempty basic block: (label, statement count, dependence depth)
-    under the single-identity order — experiment F1's raw data. *)

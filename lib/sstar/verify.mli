@@ -32,5 +32,4 @@ val verify : Msl_machine.Desc.t -> Ast.program -> report
 val ok : report -> bool
 (** No failure and nothing refuted. *)
 
-val pp_status : Format.formatter -> status -> unit
 val pp_report : Format.formatter -> report -> unit

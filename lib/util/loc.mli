@@ -11,8 +11,6 @@ type t = { file : string; start_pos : pos; end_pos : pos }
 val dummy : t
 (** The unknown location; [pp] renders it as ["<unknown location>"]. *)
 
-val dummy_pos : pos
-
 val make : file:string -> start_pos:pos -> end_pos:pos -> t
 
 val is_dummy : t -> bool

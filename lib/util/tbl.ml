@@ -69,8 +69,6 @@ let print t = print_string (render t)
 (* Cell formatting helpers used throughout the experiment drivers. *)
 let cell_int n = string_of_int n
 let cell_float ?(digits = 2) f = Printf.sprintf "%.*f" digits f
-let cell_ratio ?(digits = 2) a b =
-  if b = 0 then "n/a" else Printf.sprintf "%.*fx" digits (float_of_int a /. float_of_int b)
 let cell_pct a b =
   if b = 0 then "n/a"
   else Printf.sprintf "%+.1f%%" (100.0 *. (float_of_int a -. float_of_int b) /. float_of_int b)

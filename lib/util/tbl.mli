@@ -26,8 +26,5 @@ val print : t -> unit
 val cell_int : int -> string
 val cell_float : ?digits:int -> float -> string
 
-val cell_ratio : ?digits:int -> int -> int -> string
-(** [a/b] rendered as ["1.50x"]; ["n/a"] when [b = 0]. *)
-
 val cell_pct : int -> int -> string
 (** Relative difference of [a] vs baseline [b] as ["+12.5%"]. *)

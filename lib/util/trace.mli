@@ -105,9 +105,6 @@ type event = {
   ev_args : (string * json) list;
 }
 
-val parse_event : string -> (event, string) result
-(** Parse one trace line, checking the required fields. *)
-
 val read_events : string -> (event list, string) result
 (** Parse a whole trace file (blank lines ignored); [Error] names the
     first offending line.  Never raises: I/O failures ([Sys_error] on

@@ -56,7 +56,7 @@ let run_block d groups =
   (* deterministic nonzero initial state so moves are visible *)
   Array.iteri
     (fun i (r : Desc.reg) ->
-      Sim.set_reg_id sim r.Desc.r_id
+      Sim.set_reg sim r.Desc.r_name
         (Bitvec.of_int ~width:r.Desc.r_width (i * 7919 + 13)))
     (Desc.regs d |> Array.of_list);
   (match Sim.run sim with

@@ -226,7 +226,7 @@ let test_interrupts () =
       Alcotest.(check bool)
         (name ^ " has Int_ack fallback words")
         true
-        (Simc.fallback_words probe > 0);
+        (Simc.native_words probe < Simc.words probe);
       List.iter
         (fun sched ->
           engines_agree

@@ -368,9 +368,10 @@ let test_renderers () =
     "warning[race-ww] word 4 (block loop): double write of x"
     (Fmt.str "%a" Diag.pp_finding f);
   Alcotest.(check string) "json"
-    "{\"code\":\"race-ww\",\"severity\":\"warning\",\"loc\":{\"kind\":\"word\",\
-     \"addr\":4,\"owner\":\"loop\"},\"message\":\"double write of x\"}"
-    (Diag.finding_to_json f);
+    "{\"machine\":\"HP3\",\"errors\":0,\"warnings\":1,\"findings\":[\
+     {\"code\":\"race-ww\",\"severity\":\"warning\",\"loc\":{\"kind\":\"word\",\
+     \"addr\":4,\"owner\":\"loop\"},\"message\":\"double write of x\"}]}"
+    (Diag.report_json ~machine:"HP3" [ f ]);
   Alcotest.(check string) "sexp"
     "(finding (code race-ww) (severity warning) (loc (word 4 \"loop\")) \
      (message \"double write of x\"))"
@@ -390,9 +391,10 @@ let test_renderers () =
   (* escaping in both structured forms *)
   let e = Diag.finding ~code:"x" "a \"quoted\"\nline" in
   Alcotest.(check string) "json escaping"
-    "{\"code\":\"x\",\"severity\":\"error\",\"loc\":null,\"message\":\"a \
-     \\\"quoted\\\"\\nline\"}"
-    (Diag.finding_to_json e)
+    "{\"machine\":\"HP3\",\"errors\":1,\"warnings\":0,\"findings\":[\
+     {\"code\":\"x\",\"severity\":\"error\",\"loc\":null,\"message\":\"a \
+     \\\"quoted\\\"\\nline\"}]}"
+    (Diag.report_json ~machine:"HP3" [ e ])
 
 let test_compiler_error () =
   match Toolkit.compile Toolkit.Yalll Machines.hp3 "?? not yalll ??" with

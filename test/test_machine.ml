@@ -90,44 +90,45 @@ let test_bad_description_rejected () =
 (* -- conflict model ------------------------------------------------------ *)
 
 let op d name args = Inst.make d name args
+let compatible d a b = Conflict.pair_conflict d a b = None
 
 let test_unit_conflict () =
   let d = Machines.h1 in
   let a = op d "add" [ Inst.A_reg 1; Inst.A_reg 2; Inst.A_reg 3 ] in
   let b = op d "sub" [ Inst.A_reg 4; Inst.A_reg 5; Inst.A_reg 6 ] in
-  check_bool "two ALU ops clash" false (Conflict.compatible d a b);
+  check_bool "two ALU ops clash" false (compatible d a b);
   let s = op d "shl" [ Inst.A_reg 4; Inst.A_reg 5; Inst.A_imm (bv 6 1) ] in
-  check_bool "ALU and shifter coexist" true (Conflict.compatible d a s)
+  check_bool "ALU and shifter coexist" true (compatible d a s)
 
 let test_field_conflict () =
   let d = Machines.h1 in
   let m1 = op d "mov" [ Inst.A_reg 1; Inst.A_reg 2 ] in
   let m2 = op d "mov" [ Inst.A_reg 3; Inst.A_reg 4 ] in
   (* both need the abus fields with different values *)
-  check_bool "two moves clash" false (Conflict.compatible d m1 m2);
+  check_bool "two moves clash" false (compatible d m1 m2);
   let m3 = op d "mov" [ Inst.A_reg 1; Inst.A_reg 2 ] in
-  check_bool "identical moves share the word" true (Conflict.compatible d m1 m3)
+  check_bool "identical moves share the word" true (compatible d m1 m3)
 
 let test_memory_conflict () =
   let d = Machines.h1 in
   let r = op d "rd" [] in
   let w = op d "wr" [] in
-  check_bool "one memory port" false (Conflict.compatible d r w)
+  check_bool "one memory port" false (compatible d r w)
 
 let test_write_conflict () =
   let d = Machines.hp3 in
   let a = op d "add" [ Inst.A_reg 1; Inst.A_reg 2; Inst.A_reg 3 ] in
   let i = op d "inc" [ Inst.A_reg 1; Inst.A_reg 4 ] in
   (* different units, but both write R1 in the same phase *)
-  check_bool "write-write clash" false (Conflict.compatible d a i);
+  check_bool "write-write clash" false (compatible d a i);
   (* quiet ops coexist across units; two flag-setters do not *)
   let i2 = op d "inc" [ Inst.A_reg 5; Inst.A_reg 4 ] in
-  check_bool "quiet add and inc coexist" true (Conflict.compatible d a i2);
+  check_bool "quiet add and inc coexist" true (compatible d a i2);
   let af = op d "addf" [ Inst.A_reg 1; Inst.A_reg 2; Inst.A_reg 3 ] in
   let sf = op d "shrf" [ Inst.A_reg 5; Inst.A_reg 4; Inst.A_imm (bv 4 1) ] in
-  check_bool "flag clash (both set flags)" false (Conflict.compatible d af sf);
+  check_bool "flag clash (both set flags)" false (compatible d af sf);
   let m = op d "mov" [ Inst.A_reg 6; Inst.A_reg 7 ] in
-  check_bool "mov and add coexist" true (Conflict.compatible d a m)
+  check_bool "mov and add coexist" true (compatible d a m)
 
 (* -- assembler ----------------------------------------------------------- *)
 
@@ -251,7 +252,7 @@ let test_encode_program_bits () =
 (* -- memory -------------------------------------------------------------- *)
 
 let test_memory_basics () =
-  let m = Memory.create ~word_width:16 ~words:1024 () in
+  let m = Memory.create ~word_width:16 ~words:1024 in
   Memory.write m 10 (bv 16 42);
   check_str "read back" "42" (Bitvec.to_string (Memory.read m 10));
   check_int "reads counted" 1 (Memory.reads m);
@@ -319,9 +320,9 @@ let test_sim_same_phase_snapshot () =
   (* Every read in a phase sees the phase-start state.  First an ALU op
      reading its own destination; then an exchange between two ops of one
      phase (mov on the abus, add on the alu, both phase 0), where each op
-     reads the other's destination.  The exchange runs on both engines:
-     neither takes a snapshot, so the rule rests on every write being
-     buffered until the phase commits. *)
+     reads the other's destination.  The exchange runs on both engines
+     and through the symbolic executor: none takes a snapshot, so the rule
+     rests on every write being buffered until the phase commits. *)
   let d = Machines.hp3 in
   let src = "  [ ldc R1, #5 ]\n  [ add R1, R1, R1 ]\n  [ ] -> halt\n" in
   let sim = run_program d src in
@@ -343,7 +344,28 @@ let test_sim_same_phase_snapshot () =
     [
       ("Sim", fun sim -> Sim.run sim);
       ("Simc", fun sim -> Simc.run (Simc.translate sim));
-    ]
+    ];
+  let ctx = Symexec.create_ctx () in
+  let store = Symexec.init_store ctx d in
+  List.iter
+    (fun (w : Inst.t) -> Symexec.exec_word ctx d store w.Inst.ops)
+    prog;
+  let env =
+    {
+      Symexec.e_var =
+        (fun n ->
+          if n = Symexec.reg_var_name "R1" then bv 16 5
+          else if n = Symexec.reg_var_name "R2" then bv 16 7
+          else Alcotest.failf "unexpected symbolic input %s" n);
+      e_mem = (fun _ -> 0L);
+    }
+  in
+  let value name =
+    let r = Desc.get_reg d name in
+    Bitvec.to_int (Symexec.eval env store.Symexec.st_regs.(r.Desc.r_id))
+  in
+  check_int "Symexec: R1 := R2" 7 (value "R1");
+  check_int "Symexec: R2 := R1 + R1" 10 (value "R2")
 
 let test_sim_memory_ops () =
   let d = Machines.hp3 in
@@ -527,7 +549,8 @@ let test_sim_fuel () =
 
 let test_sim_store_overflow () =
   let d = Machines.v11 in
-  let too_big = List.init 2000 (fun _ -> Inst.nop_inst) in
+  let nop = { Inst.ops = []; next = Inst.Next } in
+  let too_big = List.init 2000 (fun _ -> nop) in
   expect_diag Diag.Assembly (fun () ->
       let sim = Sim.create d in
       Sim.load_store sim too_big)

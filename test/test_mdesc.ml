@@ -35,7 +35,7 @@ let lang_of_file f =
   else None
 
 let encoding_digest d insts =
-  let words = Encode.encode_program d insts in
+  let words = List.map (Encode.encode_inst d) insts in
   Digest.to_hex
     (Digest.string (String.concat "\n" (List.map Encode.word_to_hex words)))
 

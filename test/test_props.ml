@@ -31,7 +31,7 @@ let run_groups d groups =
   (* deterministic nonzero initial state *)
   Array.iteri
     (fun i (r : Desc.reg) ->
-      Sim.set_reg_id sim r.Desc.r_id
+      Sim.set_reg sim r.Desc.r_name
         (Bitvec.of_int ~width:r.Desc.r_width (i * 7919 + 13)))
     d.Desc.d_regs;
   for a = 0 to 63 do
@@ -208,7 +208,8 @@ let encode_deterministic =
       let insts =
         List.map (fun g -> { Inst.ops = g; next = Inst.Next }) r.Compaction.groups
       in
-      Encode.encode_program d insts = Encode.encode_program d insts)
+      List.map (Encode.encode_inst d) insts
+      = List.map (Encode.encode_inst d) insts)
 
 (* encode/decode round trip: the disassembler recovers exactly what the
    encoder wrote *)

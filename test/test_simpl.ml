@@ -270,12 +270,12 @@ let test_errors () =
 let test_parallelism_profile () =
   let d = Machines.h1 in
   let p = Simpl.Compile.parse_compile d fpmul_src in
-  let profile = Simpl.Compile.parallelism_profile p in
-  check_bool "profile nonempty" true (profile <> []);
+  let blocks = List.filter (fun b -> b.Mir.b_stmts <> []) (Mir.all_blocks p) in
+  check_bool "profile nonempty" true (blocks <> []);
   (* the exponent-extraction block has independent statements: its depth
      must be strictly smaller than its statement count *)
   check_bool "some block has parallelism" true
-    (List.exists (fun (_, n, depth) -> depth < n) profile)
+    (List.exists (fun b -> Dataflow.parallelism b.Mir.b_stmts > 1.0) blocks)
 
 let () =
   Alcotest.run "simpl"

@@ -39,7 +39,7 @@ let test_decide_proved () =
   let rhs =
     Symexec.add ctx
       (Symexec.add ctx x (Symexec.lognot ctx y))
-      (Symexec.const_int ctx ~width:8 1)
+      (Symexec.const ctx (Bitvec.of_int ~width:8 1))
   in
   check_bool "terms differ structurally" true (lhs.Symexec.id <> rhs.Symexec.id);
   match Symexec.decide [ (lhs, rhs) ] with
@@ -56,7 +56,7 @@ let test_decide_unknown () =
   let rhs =
     Symexec.add ctx
       (Symexec.add ctx x (Symexec.lognot ctx y))
-      (Symexec.const_int ctx ~width:8 1)
+      (Symexec.const ctx (Bitvec.of_int ~width:8 1))
   in
   match Symexec.decide ~budget_bits:0 ~samples:0 [ (lhs, rhs) ] with
   | Symexec.Unknown -> ()
@@ -67,8 +67,8 @@ let test_decide_unknown () =
 let test_decide_refuted () =
   let ctx = Symexec.create_ctx () in
   let x = Symexec.var ctx "x" 8 in
-  let lhs = Symexec.add ctx x (Symexec.const_int ctx ~width:8 1) in
-  let rhs = Symexec.add ctx x (Symexec.const_int ctx ~width:8 2) in
+  let lhs = Symexec.add ctx x (Symexec.const ctx (Bitvec.of_int ~width:8 1)) in
+  let rhs = Symexec.add ctx x (Symexec.const ctx (Bitvec.of_int ~width:8 2)) in
   match Symexec.decide [ (lhs, rhs) ] with
   | Symexec.Refuted cx ->
       let env = env_of cx in
@@ -83,8 +83,8 @@ let test_decide_refuted () =
    stores — to exactly what the interpreter computes.  This holds every
    smart-constructor rewrite (constant folding, ALU lowering, flag
    reduction, slice/zext normalization) to Sim's concrete semantics, on
-   the 16-bit 2-phase HP3, the 64-bit 3-phase H1 and the single-phase
-   B17 (V11 has no [inc], which the generated blocks use). *)
+   the 16-bit 2-phase HP3, the 64-bit 3-phase H1, the single-phase B17,
+   and V11, whose generated blocks are moves and accumulator ALU ops. *)
 let block_words ?(p_dep = 40) d ~seed ~n =
   let ops = Core.Workloads.compaction_block d ~seed ~n ~p_dep in
   let r =
@@ -133,7 +133,7 @@ let test_symexec_matches_sim () =
                 store.Symexec.st_flags)
             (Tv.seeded_assignments d ~seed ~n:3))
         [ 1; 2; 3; 4; 5; 6; 7; 8 ])
-    [ hp3; h1; Machines.b17 ]
+    [ hp3; h1; Machines.b17; Machines.v11 ]
 
 (* -- hash-consing normalizations ----------------------------------------- *)
 

@@ -84,8 +84,7 @@ let test_tbl () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected arity failure");
   check_str "pct" "+50.0%" (Tbl.cell_pct 9 6);
-  check_str "pct n/a" "n/a" (Tbl.cell_pct 9 0);
-  check_str "ratio" "1.50x" (Tbl.cell_ratio 9 6)
+  check_str "pct n/a" "n/a" (Tbl.cell_pct 9 0)
 
 (* -- the work queue -------------------------------------------------------- *)
 
