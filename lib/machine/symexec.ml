@@ -8,8 +8,10 @@
    they build (constant folding through [Rtl.eval_abinop], ALU results
    rewritten to pure add/sub/logic nodes, flag extraction reduced to
    zero-tests and sign slices), a phase-accurate symbolic executor that
-   reproduces [Sim.exec_phase]'s transport-delay semantics term by term,
-   and a layered decision procedure: identical hash-consed terms are equal
+   reproduces [Sim.exec_phase]'s transport-delay semantics term by term
+   over lazy stores (a register's input is made on first read, and only
+   registers either side touched are compared), and a layered decision
+   procedure: identical hash-consed terms are equal
    by construction; small memory-free goals are settled by exhaustive
    concrete evaluation over the live input bits; everything else is
    sampled under a seeded store, which can refute with a concrete
@@ -59,11 +61,12 @@ type key =
 
 type ctx = { tbl : (key, t) Hashtbl.t; mutable next : int }
 
-(* TV makes one context per block, rewrite and region, and most hold a
-   few hundred terms.  The table starts small enough for the minor heap:
-   an array over 256 words goes straight to the major heap, and every
-   young term stored into it is promoted at the next minor collection.
-   [Hashtbl] grows the table as needed. *)
+(* TV makes one context per block, rewrite and region; with lazy stores
+   a block's holds a median of 5 terms over the examples corpus.  The table starts small enough for the
+   minor heap: an array over 256 words goes straight to the major heap,
+   and every young term stored into it is promoted at the next minor
+   collection.  A context shared across blocks outgrows it, which is
+   why contexts stay per block.  [Hashtbl] grows the table as needed. *)
 let create_ctx () = { tbl = Hashtbl.create 64; next = 0 }
 
 let mk ctx ~width ~has_mem node key =
@@ -549,56 +552,68 @@ let decide ?(budget_bits = 16) ?(samples = 64) ?(seed = 0) pairs =
 
 (* -- the symbolic store and word executor ----------------------------------- *)
 
+(* A store is lazy: a register or flag slot the block has neither read
+   nor written holds [unset], and its input [Var] is made under the
+   store's current prefix on first read.  Most blocks touch a few of a
+   machine's registers, so a proof pays only for those. *)
 type store = {
   st_regs : t array;  (* by register id, each of its declared width *)
   st_flags : t array;  (* C V Z N U, 1-bit each *)
+  mutable st_prefix : string;  (* of the input names: "" or a havoc's *)
   mutable st_mem : t;
   mutable st_acks : int;  (* Int_ack commits observed *)
 }
 
+let unset = { id = -1; width = 0; node = Var ""; has_mem = false }
+
 let reg_var_name name = "r:" ^ name
 let flag_var_name fl = "f:" ^ Rtl.flag_name fl
 
-let init_store ?(prefix = "") ctx (d : Desc.t) =
+let input ctx s name width = var ctx (s.st_prefix ^ name) width
+
+let reg ctx (d : Desc.t) s i =
+  if s.st_regs.(i) == unset then begin
+    let r = d.Desc.d_regs.(i) in
+    s.st_regs.(i) <- input ctx s (reg_var_name r.Desc.r_name) r.Desc.r_width
+  end;
+  s.st_regs.(i)
+
+let flag_at ctx s i =
+  if s.st_flags.(i) == unset then
+    s.st_flags.(i) <- input ctx s (flag_var_name (flag_of_index i)) 1;
+  s.st_flags.(i)
+
+let flag ctx s f = flag_at ctx s (flag_index f)
+let acks s = s.st_acks
+
+let init_store ctx (d : Desc.t) =
   {
-    st_regs =
-      Array.map
-        (fun (r : Desc.reg) ->
-          var ctx (prefix ^ reg_var_name r.Desc.r_name) r.Desc.r_width)
-        d.Desc.d_regs;
-    st_flags =
-      Array.init 5 (fun i ->
-          var ctx (prefix ^ flag_var_name (flag_of_index i)) 1);
-    st_mem =
-      (if prefix = "" then mem_init ctx ~word:d.Desc.d_word
-       else mem_var ctx (prefix ^ "mem") ~word:d.Desc.d_word);
+    st_regs = Array.make (Array.length d.Desc.d_regs) unset;
+    st_flags = Array.make 5 unset;
+    st_prefix = "";
+    st_mem = mem_init ctx ~word:d.Desc.d_word;
     st_acks = 0;
   }
 
 let copy_store s =
-  {
-    st_regs = Array.copy s.st_regs;
-    st_flags = Array.copy s.st_flags;
-    st_mem = s.st_mem;
-    st_acks = s.st_acks;
-  }
+  { s with st_regs = Array.copy s.st_regs; st_flags = Array.copy s.st_flags }
 
 (* A sequencer condition as a 1-bit term over the store, mirroring
    [Sim.eval_cond].  [C_int_pending] is not a function of the store (it
    reads the interrupt line), so it has no term. *)
-let cond_term ctx (s : store) = function
+let cond_term ctx d (s : store) = function
   | Desc.C_flag (f, v) ->
-      let t = s.st_flags.(flag_index f) in
+      let t = flag ctx s f in
       Some (if v then t else lognot ctx t)
   | Desc.C_reg_zero (r, v) ->
       if r < 0 || r >= Array.length s.st_regs then None
       else
-        let z = is_zero_term ctx s.st_regs.(r) in
+        let z = is_zero_term ctx (reg ctx d s r) in
         Some (if v then z else lognot ctx z)
   | Desc.C_reg_mask (r, mask) ->
       if r < 0 || r >= Array.length s.st_regs then None
       else begin
-        let v = s.st_regs.(r) in
+        let v = reg ctx d s r in
         let n = min (Array.length mask) v.width in
         let acc = ref (true_ ctx) in
         for i = 0 to n - 1 do
@@ -613,12 +628,13 @@ let cond_term ctx (s : store) = function
   | Desc.C_int_pending -> None
 
 (* Replace every component with fresh inputs (used after a microsubroutine
-   call, whose effects are unmodeled but identical on both sides). *)
+   call, whose effects are unmodeled but identical on both sides): the
+   slots go back to [unset] and read under the new prefix. *)
 let havoc ~prefix ctx (d : Desc.t) s =
-  let fresh = init_store ~prefix ctx d in
-  Array.blit fresh.st_regs 0 s.st_regs 0 (Array.length s.st_regs);
-  Array.blit fresh.st_flags 0 s.st_flags 0 (Array.length s.st_flags);
-  s.st_mem <- fresh.st_mem
+  Array.fill s.st_regs 0 (Array.length s.st_regs) unset;
+  Array.fill s.st_flags 0 5 unset;
+  s.st_prefix <- prefix;
+  s.st_mem <- mem_var ctx (prefix ^ "mem") ~word:d.Desc.d_word
 
 (* Mutated programs (the defect-injection experiments feed the validator
    deliberately corrupted words) can carry register ids the description
@@ -650,11 +666,11 @@ let rec seval ctx (d : Desc.t) (s : store) (args : Inst.arg array)
       match args.(i) with
       | Inst.A_reg r ->
           ignore (reg_info d r);
-          s.st_regs.(r)
+          reg ctx d s r
       | Inst.A_imm v -> const ctx v)
-  | Rtl.Reg name -> s.st_regs.((Desc.get_reg d name).Desc.r_id)
+  | Rtl.Reg name -> reg ctx d s (Desc.get_reg d name).Desc.r_id
   | Rtl.Const v -> const ctx v
-  | Rtl.Flag f -> s.st_flags.(flag_index f)
+  | Rtl.Flag f -> flag ctx s f
   | Rtl.Add (a, b) -> add ctx (ev a) (ev b)
   | Rtl.Sub (a, b) -> sub ctx (ev a) (ev b)
   | Rtl.And (a, b) -> logand ctx (ev a) (ev b)
@@ -699,19 +715,20 @@ let exec_phase ctx (d : Desc.t) (s : store) ops =
               let w = (reg_info d id).Desc.r_width in
               let v1 = zext ctx w (ev e1) in
               let v2 = zext ctx w (ev e2) in
-              let cin = s.st_flags.(0) in
+              let cin = flag_at ctx s 0 in
               wb_regs := (id, alu ctx op2 v1 v2 ~carry:cin) :: !wb_regs;
               buffer_flags op2 v1 v2 cin
           | Rtl.Arith_flags (op2, e1, e2) ->
               let v1 = ev e1 in
               let v2 = zext ctx v1.width (ev e2) in
-              buffer_flags op2 v1 v2 s.st_flags.(0)
+              buffer_flags op2 v1 v2 (flag_at ctx s 0)
           | Rtl.Arith_nf (dst, op2, e1, e2) ->
               let id = dest_reg_id d args dst in
               let w = (reg_info d id).Desc.r_width in
               let v1 = zext ctx w (ev e1) in
               let v2 = zext ctx w (ev e2) in
-              wb_regs := (id, alu ctx op2 v1 v2 ~carry:s.st_flags.(0)) :: !wb_regs
+              let cin = flag_at ctx s 0 in
+              wb_regs := (id, alu ctx op2 v1 v2 ~carry:cin) :: !wb_regs
           | Rtl.Mem_read (dst, addr) ->
               let id = dest_reg_id d args dst in
               let a = zext ctx 62 (ev addr) in
@@ -736,20 +753,28 @@ let exec_phase ctx (d : Desc.t) (s : store) ops =
 (* One microinstruction's worth of operations, phase by phase — the
    symbolic [Sim.step] body (sequencing excluded; the validator compares
    that structurally). *)
-let exec_word ctx (d : Desc.t) (s : store) (ops : Inst.op list) =
-  Array.iter
-    (function [] -> () | phase_ops -> exec_phase ctx d s phase_ops)
-    (Inst.ops_by_phase d ops)
+let exec_word ctx (d : Desc.t) (s : store) = function
+  | [] -> ()
+  | [ _ ] as ops -> exec_phase ctx d s ops  (* its phase is in range *)
+  | ops ->
+      Array.iter
+        (function [] -> () | phase_ops -> exec_phase ctx d s phase_ops)
+        (Inst.ops_by_phase d ops)
 
-(* Pairwise store comparison goals, for [decide]. *)
-let store_pairs (a : store) (b : store) =
-  let regs =
-    Array.to_list (Array.map2 (fun x y -> (x, y)) a.st_regs b.st_regs)
+(* Pairwise store comparison goals, for [decide]: registers, flags, memory.
+   A slot neither store touched holds the same input on both sides when
+   their prefixes agree, so it needs no goal. *)
+let store_pairs ctx d (a : store) (b : store) =
+  let goals sa sb read tail =
+    let acc = ref tail in
+    for i = Array.length sa - 1 downto 0 do
+      if sa.(i) != unset || sb.(i) != unset || a.st_prefix <> b.st_prefix then
+        acc := (read a i, read b i) :: !acc
+    done;
+    !acc
   in
-  let flags =
-    Array.to_list (Array.map2 (fun x y -> (x, y)) a.st_flags b.st_flags)
-  in
-  regs @ flags @ [ (a.st_mem, b.st_mem) ]
+  goals a.st_regs b.st_regs (reg ctx d)
+    (goals a.st_flags b.st_flags (flag_at ctx) [ (a.st_mem, b.st_mem) ])
 
 (* -- printing (debugging / findings) --------------------------------------- *)
 

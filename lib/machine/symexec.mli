@@ -100,12 +100,9 @@ val decide :
 
 (** {1 Symbolic stores and the word executor} *)
 
-type store = {
-  st_regs : t array;
-  st_flags : t array;  (** C V Z N U *)
-  mutable st_mem : t;
-  mutable st_acks : int;  (** [Int_ack] commits observed *)
-}
+type store
+(** Register, flag and memory terms.  Slots are lazy: a register or flag
+    the block has not touched costs nothing until its first read. *)
 
 val reg_var_name : string -> string
 (** ["r:" ^ name] — the input-variable naming scheme, shared with
@@ -114,15 +111,18 @@ val reg_var_name : string -> string
 val flag_var_name : Rtl.flag -> string
 (** ["f:C"], ["f:V"], ... *)
 
-val flag_of_index : int -> Rtl.flag
-
-val init_store : ?prefix:string -> ctx -> Desc.t -> store
-(** A store of fresh inputs.  With a [prefix] the memory is a fresh
-    [Mem_var] (a havocked store); without, it is [Mem_init]. *)
+val init_store : ctx -> Desc.t -> store
+(** A store of fresh inputs over [Mem_init] memory. *)
 
 val copy_store : store -> store
 
-val cond_term : ctx -> store -> Desc.cond -> t option
+val reg : ctx -> Desc.t -> store -> int -> t
+(** Register [id]'s term: its input variable until the store writes it. *)
+
+val flag : ctx -> store -> Rtl.flag -> t
+val acks : store -> int  (** [Int_ack] commits observed *)
+
+val cond_term : ctx -> Desc.t -> store -> Desc.cond -> t option
 (** A sequencer condition as a 1-bit term over the store, mirroring
     [Sim.eval_cond] — the guard a superoptimizer rewrite is proved under.
     [None] when the condition is not a pure function of the store
@@ -139,8 +139,9 @@ val exec_word : ctx -> Desc.t -> store -> Inst.op list -> unit
     in action order).  @raise Msl_util.Diag.Error as [Sim] would (e.g. a
     write to an immediate operand). *)
 
-val store_pairs : store -> store -> (t * t) list
-(** The equality goals comparing two stores: registers, flags, memory. *)
+val store_pairs : ctx -> Desc.t -> store -> store -> (t * t) list
+(** The equality goals comparing two stores: registers, flags, memory.
+    A slot neither store touched under one prefix gets no goal. *)
 
 (** {1 Printing} *)
 

@@ -38,6 +38,21 @@ let finding ?(severity = Error) ?(loc = L_none) ~code fmt =
 let errors fs = List.filter (fun f -> f.f_severity = Error) fs
 let warnings fs = List.filter (fun f -> f.f_severity = Warning) fs
 
+(* A word's location: its owner is the label at the greatest address not
+   past it, the first listed among labels at one address.  The labels are
+   sorted once, reversed so that label comes last among its ties; each
+   lookup is a binary search for the last label not past the word. *)
+let word_loc labels =
+  let by_addr (_, a) (_, b) = compare a b in
+  let ls = Array.of_list (List.stable_sort by_addr (List.rev labels)) in
+  fun addr ->
+    let lo = ref 0 and hi = ref (Array.length ls) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if snd ls.(mid) <= addr then lo := mid + 1 else hi := mid
+    done;
+    L_word { addr; owner = (if !lo = 0 then None else Some (fst ls.(!lo - 1))) }
+
 (* Source findings first, then MIR blocks, then words by address; the
    sort is stable so analysis order breaks ties deterministically. *)
 let location_rank = function

@@ -35,6 +35,11 @@ val finding :
 (** [finding ~code fmt ...] builds a finding ([severity] defaults to
     [Error], [loc] to [L_none]). *)
 
+val word_loc : (string * int) list -> int -> location
+(** [word_loc labels] locates control-store words: the owner of a word is
+    the label at the greatest address not past it (the first listed among
+    labels at one address).  Apply it once per label table. *)
+
 val errors : finding list -> finding list
 val warnings : finding list -> finding list
 

@@ -22,19 +22,6 @@ let rname (d : Desc.t) r =
   if r >= 0 && r < Array.length d.Desc.d_regs then Desc.reg_name d r
   else Printf.sprintf "r#%d" r
 
-(* Word -> owning block label: the label with the greatest address not
-   beyond the word (first label wins on ties). *)
-let owner_fn labels =
-  let best_for addr =
-    List.fold_left
-      (fun best (l, a) ->
-        if a <= addr then
-          match best with Some (_, ba) when ba >= a -> best | _ -> Some (l, a)
-        else best)
-      None labels
-  in
-  fun addr -> Option.map fst (best_for addr)
-
 (* -- uninitialized-register reads (MIR, forward dataflow) ---------------- *)
 
 (* Virtual registers a statement may assign.  Barriers (Special, Intack)
@@ -174,12 +161,12 @@ let op_identical (o1 : Inst.op) (o2 : Inst.op) =
 let op_name (o : Inst.op) = o.Inst.op_t.Desc.t_name
 
 let check_races ?(pedantic = false) ?(labels = []) (d : Desc.t) insts =
-  let owner = owner_fn labels in
+  let word_loc = Diag.word_loc labels in
   let findings = ref [] in
   let add f = findings := f :: !findings in
   List.iteri
     (fun i (inst : Inst.t) ->
-      let loc = Diag.L_word { addr = i; owner = owner i } in
+      let loc = word_loc i in
       let nops = List.length inst.Inst.ops in
       if d.Desc.d_vertical && nops > 1 then
         add
@@ -359,14 +346,14 @@ let check_operands (d : Desc.t) loc (op : Inst.op) =
   end
 
 let check_encoding ?(labels = []) (d : Desc.t) insts =
-  let owner = owner_fn labels in
+  let word_loc = Diag.word_loc labels in
   let find_field name =
     List.find_opt (fun (f : Desc.field) -> f.Desc.f_name = name) d.Desc.d_fields
   in
   let findings = ref [] in
   List.iteri
     (fun i (inst : Inst.t) ->
-      let loc = Diag.L_word { addr = i; owner = owner i } in
+      let loc = word_loc i in
       let word_findings = ref [] in
       let add f = word_findings := f :: !word_findings in
       List.iter
@@ -464,7 +451,7 @@ let all_succs inst i =
 let check_dead ?(labels = []) (d : Desc.t) insts =
   let arr = Array.of_list insts in
   let n = Array.length arr in
-  let owner = owner_fn labels in
+  let word_loc = Diag.word_loc labels in
   let findings = ref [] in
   let add f = findings := f :: !findings in
   if n > d.Desc.d_store_words then
@@ -474,7 +461,7 @@ let check_dead ?(labels = []) (d : Desc.t) insts =
          d.Desc.d_name d.Desc.d_store_words);
   Array.iteri
     (fun i inst ->
-      let loc = Diag.L_word { addr = i; owner = owner i } in
+      let loc = word_loc i in
       (match inst.Inst.next with
       | Inst.Dispatch { hi; lo; _ } when hi < lo || hi - lo + 1 > 24 ->
           add
@@ -514,8 +501,7 @@ let check_dead ?(labels = []) (d : Desc.t) insts =
       (fun i r ->
         if (not r) && arr.(i).Inst.ops <> [] then
           add
-            (Diag.finding ~code:"dead-code"
-               ~loc:(Diag.L_word { addr = i; owner = owner i })
+            (Diag.finding ~code:"dead-code" ~loc:(word_loc i)
                "control word is unreachable from the entry"))
       reach
   end;
@@ -537,7 +523,7 @@ let check_latency ?(labels = []) ~budget (d : Desc.t) insts =
   let n = Array.length arr in
   if n = 0 then []
   else begin
-    let owner = owner_fn labels in
+    let word_loc = Diag.word_loc labels in
     let poll = Array.map is_poll arr in
     let cost i = 1 + Inst.inst_extra_cycles arr.(i) in
     let succs i =
@@ -592,7 +578,7 @@ let check_latency ?(labels = []) ~budget (d : Desc.t) insts =
     | None ->
         let loc =
           match !cycle_word with
-          | Some i -> Diag.L_word { addr = i; owner = owner i }
+          | Some i -> word_loc i
           | None -> Diag.L_none
         in
         [

@@ -105,11 +105,11 @@ let reference_words (a : artifact) =
   List.map (fun op -> ([ op ], Select.L_next)) a.a_body
   @ List.map (fun t -> (t.Select.t_ops, t.Select.t_next)) a.a_tail
 
-let compare_exit ((e1, s1), (e2, s2)) =
+let compare_exit ctx d ((e1, s1), (e2, s2)) =
   if e1 <> e2 then `Structural
-  else if s1.Symexec.st_acks <> s2.Symexec.st_acks then `Structural
+  else if Symexec.acks s1 <> Symexec.acks s2 then `Structural
   else
-    match Symexec.decide (Symexec.store_pairs s1 s2) with
+    match Symexec.decide (Symexec.store_pairs ctx d s1 s2) with
     | Symexec.Proved -> `Eq
     | Symexec.Refuted cx -> `Refuted cx
     | Symexec.Unknown -> `Unknown
@@ -201,7 +201,7 @@ let validate_words d ~reference ~candidate =
       let rec cmp = function
         | [] -> if !unknown then Unknown else Validated
         | pair :: rest -> (
-            match compare_exit pair with
+            match compare_exit ctx d pair with
             | `Eq -> cmp rest
             | `Structural -> Refuted None
             | `Refuted cx -> Refuted (Some cx)
@@ -254,7 +254,7 @@ let outcomes ctx d ~fall (words : (Inst.op list * Select.lnext) list) =
         | Select.L_halt -> emit D_halt !guard
         | Select.L_return -> emit D_return !guard
         | Select.L_branch (c, l) -> (
-            match Symexec.cond_term ctx store c with
+            match Symexec.cond_term ctx d store c with
             | None -> raise Unsupported_window
             | Some t ->
                 emit (D_label l) (Symexec.logand ctx !guard t);
@@ -291,7 +291,7 @@ let validate_rewrite d ~fall_ref ~fall_cand ~reference ~candidate =
       if
         List.exists
           (fun ((_, s1), (_, s2)) ->
-            s1.Symexec.st_acks <> s2.Symexec.st_acks)
+            Symexec.acks s1 <> Symexec.acks s2)
           paired
       then Refuted None
       else begin
@@ -301,7 +301,7 @@ let validate_rewrite d ~fall_ref ~fall_cand ~reference ~candidate =
         let goals =
           List.concat_map
             (fun ((g1, s1), (g2, s2)) ->
-              (g1, g2) :: Symexec.store_pairs s1 s2)
+              (g1, g2) :: Symexec.store_pairs ctx d s1 s2)
             paired
         in
         match Symexec.decide goals with
@@ -418,9 +418,9 @@ let validate_region d (ra : Inst.t array) (ca : Inst.t array) (s, e) =
   with
   | () ->
       if ra.(e).Inst.next <> ca.(e).Inst.next then Refuted None
-      else if sr.Symexec.st_acks <> sc.Symexec.st_acks then Refuted None
+      else if Symexec.acks sr <> Symexec.acks sc then Refuted None
       else (
-        match Symexec.decide (Symexec.store_pairs sr sc) with
+        match Symexec.decide (Symexec.store_pairs ctx d sr sc) with
         | Symexec.Proved -> Validated
         | Symexec.Refuted cx -> Refuted (Some cx)
         | Symexec.Unknown -> Unknown)
@@ -437,27 +437,14 @@ let validate_program ?(labels = []) d ~reference
          empty_result)
   else if Array.length ra = 0 then finish empty_result
   else begin
-    (* word -> owning block label, as in Lint: greatest address not
-       beyond the word *)
-    let owner addr =
-      List.fold_left
-        (fun best (l, a) ->
-          if a <= addr then
-            match best with
-            | Some (_, ba) when ba >= a -> best
-            | _ -> Some (l, a)
-          else best)
-        None labels
-      |> Option.map fst
-    in
+    let word_loc = Diag.word_loc labels in
     let regions = region_bounds [ ra; ca ] (Array.length ra) in
     finish
       (List.fold_left
          (fun acc (s, e) ->
-           let loc = Diag.L_word { addr = s; owner = owner s } in
            tally
              (validate_region d ra ca (s, e))
-             loc
+             (word_loc s)
              (Printf.sprintf "words %d..%d" s e)
              acc)
          empty_result regions)

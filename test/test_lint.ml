@@ -396,6 +396,28 @@ let test_renderers () =
      \\\"quoted\\\"\\nline\"}]}"
     (Diag.report_json ~machine:"HP3" [ e ])
 
+(* A word's owner is the label at the greatest address not past it; among
+   labels at one address the first listed wins, whatever the list order. *)
+let test_word_owner () =
+  let owner labels addr =
+    match Diag.word_loc labels addr with
+    | Diag.L_word { addr = a; owner } ->
+        Alcotest.(check int) "address kept" addr a;
+        owner
+    | _ -> Alcotest.fail "expected a word location"
+  in
+  let labels = [ ("d", 5); ("b", 3); ("a", 1); ("c", 3) ] in
+  List.iter
+    (fun (addr, want) ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "owner of word %d" addr)
+        want (owner labels addr))
+    [ (0, None); (1, Some "a"); (2, Some "a"); (3, Some "b"); (4, Some "b");
+      (5, Some "d"); (9, Some "d") ];
+  Alcotest.(check (option string)) "first listed wins a tie" (Some "c")
+    (owner [ ("c", 3); ("b", 3) ] 4);
+  Alcotest.(check (option string)) "no labels" None (owner [] 0)
+
 let test_compiler_error () =
   match Toolkit.compile Toolkit.Yalll Machines.hp3 "?? not yalll ??" with
   | _ -> Alcotest.fail "nonsense source compiled"
@@ -442,5 +464,6 @@ let () =
           Alcotest.test_case "renderers and ordering" `Quick test_renderers;
           Alcotest.test_case "compiler errors as findings" `Quick
             test_compiler_error;
+          Alcotest.test_case "word owners" `Quick test_word_owner;
         ] );
     ]

@@ -362,7 +362,7 @@ let test_sim_same_phase_snapshot () =
   in
   let value name =
     let r = Desc.get_reg d name in
-    Bitvec.to_int (Symexec.eval env store.Symexec.st_regs.(r.Desc.r_id))
+    Bitvec.to_int (Symexec.eval env (Symexec.reg ctx d store r.Desc.r_id))
   in
   check_int "Symexec: R1 := R2" 7 (value "R1");
   check_int "Symexec: R2 := R1 + R1" 10 (value "R2")
