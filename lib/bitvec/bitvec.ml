@@ -48,7 +48,8 @@ let of_int64 ~width v =
 
 let of_int ~width v = of_int64 ~width (Int64.of_int v)
 
-let of_bool b = { w = 1; v = (if b then 1L else 0L) }
+let one_bit = { w = 1; v = 1L }
+let of_bool b = if b then one_bit else zeros.(0)
 
 let width t = t.w
 let to_int64 t = t.v
@@ -111,7 +112,11 @@ let adc a b cin =
   (result, flags_of result ~carry ~overflow ())
 
 let add_f a b = adc a b false
-let add a b = fst (add_f a b)
+
+(* add, sub and mul skip their [_f] twin's flags, keeping its message *)
+let add a b =
+  check_same "adc" a b;
+  norm a.w (Int64.add a.v b.v)
 
 let lognot t = norm t.w (Int64.lognot t.v)
 
@@ -121,7 +126,9 @@ let sub_f a b =
   (* Borrow is the complement of the carry out of [a + ~b + 1]. *)
   (r, { f with carry = not f.carry })
 
-let sub a b = fst (sub_f a b)
+let sub a b =
+  check_same "sub" a b;
+  norm a.w (Int64.sub a.v b.v)
 
 let neg t = sub (zero t.w) t
 let succ t = add t (norm t.w 1L)
@@ -154,7 +161,9 @@ let mul_f a b =
   in
   (result, flags_of result ~carry:overflow ~overflow ())
 
-let mul a b = fst (mul_f a b)
+let mul a b =
+  check_same "mul" a b;
+  norm a.w (Int64.mul a.v b.v)
 
 let udiv a b =
   check_same "udiv" a b;
@@ -178,26 +187,29 @@ let logxor a b =
   check_same "logxor" a b;
   { a with v = Int64.logxor a.v b.v }
 
+let shift_left t n =
+  if n <= 0 then t
+  else if n >= t.w then zero t.w
+  else norm t.w (Int64.shift_left t.v n)
+
 let shift_left_f t n =
   if n <= 0 then (t, flags_of t ~carry:false ~overflow:false ())
   else
-    let result = if n >= t.w then zero t.w else norm t.w (Int64.shift_left t.v n) in
+    let result = shift_left t n in
     let shifted_out = if n <= t.w then bit t (t.w - n) else false in
     (result, flags_of result ~carry:shifted_out ~overflow:false ~shifted_out ())
 
-let shift_left t n = fst (shift_left_f t n)
+let shift_right t n =
+  if n <= 0 then t
+  else if n >= t.w then zero t.w
+  else { t with v = Int64.shift_right_logical t.v n }
 
 let shift_right_f t n =
   if n <= 0 then (t, flags_of t ~carry:false ~overflow:false ())
   else
-    let result =
-      if n >= t.w then zero t.w
-      else { t with v = Int64.shift_right_logical t.v n }
-    in
+    let result = shift_right t n in
     let shifted_out = if n <= t.w then bit t (n - 1) else false in
     (result, flags_of result ~carry:shifted_out ~overflow:false ~shifted_out ())
-
-let shift_right t n = fst (shift_right_f t n)
 
 let shift_right_arith t n =
   if n <= 0 then t

@@ -34,7 +34,7 @@ val of_int : width:int -> int -> t
 val of_int64 : width:int -> int64 -> t
 
 val of_bool : bool -> t
-(** 1-bit vector. *)
+(** 1-bit vector: one of two shared values, so it allocates nothing. *)
 
 val of_string : width:int -> string -> t
 (** Accepts decimal, [0x...], [0o...], [0b...] and [-]decimal.

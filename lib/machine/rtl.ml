@@ -63,33 +63,26 @@ type action =
   | Set_flag of flag * expr  (* explicit flag write (lsb of expr) *)
   | Int_ack  (* acknowledge the pending interrupt line *)
 
-(* Free register names read by an expression; used by the hazard model. *)
-let rec expr_regs = function
-  | Opnd _ | Const _ | Flag _ -> []
-  | Reg r -> [ r ]
+let subexprs = function
+  | Opnd _ | Reg _ | Const _ | Flag _ -> []
   | Add (a, b) | Sub (a, b) | And (a, b) | Or (a, b) | Xor (a, b)
   | Concat (a, b) ->
-      expr_regs a @ expr_regs b
-  | Not e | Slice (e, _, _) | Zext (_, e) -> expr_regs e
-  | Mux (a, b, c) -> expr_regs a @ expr_regs b @ expr_regs c
+      [ a; b ]
+  | Not e | Slice (e, _, _) | Zext (_, e) -> [ e ]
+  | Mux (a, b, c) -> [ a; b; c ]
+
+(* Free register names read by an expression; used by the hazard model. *)
+let rec expr_regs = function
+  | Reg r -> [ r ]
+  | e -> List.concat_map expr_regs (subexprs e)
 
 let rec expr_opnds = function
   | Opnd i -> [ i ]
-  | Reg _ | Const _ | Flag _ -> []
-  | Add (a, b) | Sub (a, b) | And (a, b) | Or (a, b) | Xor (a, b)
-  | Concat (a, b) ->
-      expr_opnds a @ expr_opnds b
-  | Not e | Slice (e, _, _) | Zext (_, e) -> expr_opnds e
-  | Mux (a, b, c) -> expr_opnds a @ expr_opnds b @ expr_opnds c
+  | e -> List.concat_map expr_opnds (subexprs e)
 
 let rec expr_flags = function
-  | Opnd _ | Const _ | Reg _ -> []
   | Flag f -> [ f ]
-  | Add (a, b) | Sub (a, b) | And (a, b) | Or (a, b) | Xor (a, b)
-  | Concat (a, b) ->
-      expr_flags a @ expr_flags b
-  | Not e | Slice (e, _, _) | Zext (_, e) -> expr_flags e
-  | Mux (a, b, c) -> expr_flags a @ expr_flags b @ expr_flags c
+  | e -> List.concat_map expr_flags (subexprs e)
 
 let action_reads = function
   | Assign (_, e) | Mem_read (_, e) | Set_flag (_, e) -> expr_regs e
@@ -128,39 +121,39 @@ let action_touches_memory = function
   | Assign _ | Arith _ | Arith_nf _ | Arith_flags _ | Set_flag _ | Int_ack ->
       false
 
-(* Evaluate an ALU operation, returning the result and the new flags.
-   The shift amount for shift ops is the low 6 bits of the right operand. *)
+(* The shift amount for shift ops is the low 6 bits of the right
+   operand. *)
+let amount b = Int64.to_int (Int64.logand (Bitvec.to_int64 b) 0x3FL)
+
+(* [fst (eval_abinop op a b ~carry_in)] without the flags record and the
+   tuple: what the flag-preserving forms need. *)
+let eval_abinop_result op a b ~carry_in =
+  match op with
+  | A_add -> Bitvec.add a b
+  | A_adc -> fst (Bitvec.adc a b carry_in)
+  | A_sub -> Bitvec.sub a b
+  | A_and -> Bitvec.logand a b
+  | A_or -> Bitvec.logor a b
+  | A_xor -> Bitvec.logxor a b
+  | A_mul -> Bitvec.mul a b
+  | A_shl -> Bitvec.shift_left a (amount b)
+  | A_shr -> Bitvec.shift_right a (amount b)
+  | A_sra -> Bitvec.shift_right_arith a (amount b)
+  | A_rol -> Bitvec.rotate_left a (amount b)
+  | A_ror -> Bitvec.rotate_right a (amount b)
+
+(* Evaluate an ALU operation, returning the result and the new flags.  The
+   logical ops and the shifter family other than shl/shr set only Z and N. *)
 let eval_abinop op a b ~carry_in =
-  let amount () = Int64.to_int (Int64.logand (Bitvec.to_int64 b) 0x3FL) in
   match op with
   | A_add -> Bitvec.add_f a b
   | A_adc -> Bitvec.adc a b carry_in
   | A_sub -> Bitvec.sub_f a b
-  | A_and ->
-      let r = Bitvec.logand a b in
-      ( r,
-        { Bitvec.no_flags with zero = Bitvec.is_zero r; negative = Bitvec.msb r } )
-  | A_or ->
-      let r = Bitvec.logor a b in
-      ( r,
-        { Bitvec.no_flags with zero = Bitvec.is_zero r; negative = Bitvec.msb r } )
-  | A_xor ->
-      let r = Bitvec.logxor a b in
-      ( r,
-        { Bitvec.no_flags with zero = Bitvec.is_zero r; negative = Bitvec.msb r } )
   | A_mul -> Bitvec.mul_f a b
-  | A_shl -> Bitvec.shift_left_f a (amount ())
-  | A_shr -> Bitvec.shift_right_f a (amount ())
-  | A_sra ->
-      let r = Bitvec.shift_right_arith a (amount ()) in
-      ( r,
-        { Bitvec.no_flags with zero = Bitvec.is_zero r; negative = Bitvec.msb r } )
-  | A_rol ->
-      let r = Bitvec.rotate_left a (amount ()) in
-      ( r,
-        { Bitvec.no_flags with zero = Bitvec.is_zero r; negative = Bitvec.msb r } )
-  | A_ror ->
-      let r = Bitvec.rotate_right a (amount ()) in
+  | A_shl -> Bitvec.shift_left_f a (amount b)
+  | A_shr -> Bitvec.shift_right_f a (amount b)
+  | A_and | A_or | A_xor | A_sra | A_rol | A_ror ->
+      let r = eval_abinop_result op a b ~carry_in in
       ( r,
         { Bitvec.no_flags with zero = Bitvec.is_zero r; negative = Bitvec.msb r } )
 

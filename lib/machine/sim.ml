@@ -8,8 +8,10 @@
    model that lets a single horizontal microinstruction swap two registers,
    and that gives S*'s [cocycle] its phase-by-phase meaning.  Reads need no
    snapshot: every write is buffered until the phase's actions are all
-   evaluated, so the live state *is* the phase-start state.  Each word's
-   ops are split by phase once, at [load_store], not on every step.
+   evaluated, so the live state *is* the phase-start state.  Each word is
+   split by phase and prepared ([prepare_op]) on its first execution.  The
+   dev profile builds with [-opaque], which inlines no call into another
+   module: the per-cycle path calls out only for arithmetic and memory.
 
    Interrupts (§2.1.5): the harness schedules arrival cycles; a pending
    interrupt is visible to the [C_int_pending] condition and cleared by the
@@ -29,16 +31,26 @@ type trap_mode =
 
 type status = Halted | Out_of_fuel
 
+type counters = {
+  mutable pc : int;
+  mutable cycles : int;
+  mutable insts : int;
+  mutable halted : bool;
+}
+
+type phase = (Inst.arg array * Rtl.action) array  (* each with its operands *)
+
 type t = {
   desc : Desc.t;
   regs : Bitvec.t array;
   flags : bool array;  (* indexed by flag_index *)
   mem : Memory.t;
+  ctr : counters;
   mutable store : Inst.t array;
-  mutable phase_ops : Inst.op list array array;  (* per word, by phase *)
+  mutable prepared : phase array array;  (* per word; [||] until it runs *)
   mutable extra : int array;  (* per word, [Inst.inst_extra_cycles] *)
   (* the write buffer of the phase being executed, sized at [load_store]
-     for the store's busiest phase: register writes in order, one slot
+     for the store's busiest word: register writes in order, one slot
      per flag (-1 unwritten, else 0/1: the last write wins), memory
      writes newest first *)
   mutable wb_n : int;
@@ -47,11 +59,7 @@ type t = {
   wb_flags : int array;
   mutable wb_mem : (int * Bitvec.t) list;
   mutable wb_ack : bool;
-  mutable mpc : int;
   mutable call_stack : int list;
-  mutable halted : bool;
-  mutable cycles : int;
-  mutable insts_executed : int;
   (* interrupts *)
   mutable int_schedule : int list;  (* sorted cycle numbers, not yet arrived *)
   mutable int_pending : bool;
@@ -79,8 +87,9 @@ let create ?(trap_mode = Fault_is_error) (desc : Desc.t) =
       Array.map (fun (r : Desc.reg) -> Bitvec.zero r.Desc.r_width) desc.d_regs;
     flags = Array.make 5 false;
     mem = Memory.create ~word_width:desc.d_word ~words:mem_words;
+    ctr = { pc = 0; cycles = 0; insts = 0; halted = false };
     store = [||];
-    phase_ops = [||];
+    prepared = [||];
     extra = [||];
     wb_n = 0;
     wb_ids = [||];
@@ -88,11 +97,7 @@ let create ?(trap_mode = Fault_is_error) (desc : Desc.t) =
     wb_flags = Array.make 5 (-1);
     wb_mem = [];
     wb_ack = false;
-    mpc = 0;
     call_stack = [];
-    halted = false;
-    cycles = 0;
-    insts_executed = 0;
     int_schedule = [];
     int_pending = false;
     int_pending_since = 0;
@@ -106,9 +111,9 @@ let create ?(trap_mode = Fault_is_error) (desc : Desc.t) =
 
 let desc t = t.desc
 let memory t = t.mem
-let pc t = t.mpc
-let cycles t = t.cycles
-let insts_executed t = t.insts_executed
+let pc t = t.ctr.pc
+let cycles t = t.ctr.cycles
+let insts_executed t = t.ctr.insts
 let traps_taken t = t.traps_taken
 let interrupts_serviced t = t.int_serviced
 
@@ -132,11 +137,13 @@ let set_reg_int t name v =
 let get_flag t f = t.flags.(flag_index f)
 let set_flag t f b = t.flags.(flag_index f) <- b
 
-(* Each action writes at most one register, so a phase's action count
-   bounds its register writes: the write buffer's capacity. *)
-let phase_actions ops =
+(* Each action writes at most one register, so a word's action count
+   bounds the register writes any of its phases buffers: the largest is
+   the write buffer's capacity. *)
+let word_actions (inst : Inst.t) =
   List.fold_left
-    (fun n (op : Inst.op) -> n + List.length op.Inst.op_t.Desc.t_actions) 0 ops
+    (fun n (op : Inst.op) -> n + List.length op.Inst.op_t.Desc.t_actions)
+    0 inst.Inst.ops
 
 let load_store t insts =
   let a = Array.of_list insts in
@@ -144,25 +151,14 @@ let load_store t insts =
     Diag.error Diag.Assembly
       "program needs %d control-store words; %s has only %d" (Array.length a)
       t.desc.Desc.d_name t.desc.Desc.d_store_words;
-  (* filled in place: [Array.map] would seed a long array with a young
-     value, which forces a minor collection *)
-  let phases = Array.make (Array.length a) [||] in
-  Array.iteri
-    (fun i (inst : Inst.t) ->
-      phases.(i) <- Inst.ops_by_phase t.desc inst.Inst.ops)
-    a;
-  let cap =
-    Array.fold_left
-      (Array.fold_left (fun m ops -> max m (phase_actions ops)))
-      1 phases
-  in
+  let cap = Array.fold_left (fun m inst -> max m (word_actions inst)) 1 a in
   t.store <- a;
-  t.phase_ops <- phases;
+  t.prepared <- Array.make (Array.length a) [||];
   t.extra <- Array.map Inst.inst_extra_cycles a;
   t.wb_ids <- Array.make cap 0;
   t.wb_vals <- Array.make cap (Bitvec.zero 1);
-  t.mpc <- 0;
-  t.halted <- false;
+  t.ctr.pc <- 0;
+  t.ctr.halted <- false;
   t.call_stack <- []
 
 let schedule_interrupts t cycles_list =
@@ -179,11 +175,11 @@ let reset t =
     t.desc.Desc.d_regs;
   Array.fill t.flags 0 (Array.length t.flags) false;
   Memory.reset t.mem;
-  t.mpc <- 0;
+  t.ctr.pc <- 0;
   t.call_stack <- [];
-  t.halted <- false;
-  t.cycles <- 0;
-  t.insts_executed <- 0;
+  t.ctr.halted <- false;
+  t.ctr.cycles <- 0;
+  t.ctr.insts <- 0;
   t.int_schedule <- [];
   t.int_pending <- false;
   t.int_pending_since <- 0;
@@ -192,6 +188,90 @@ let reset t =
   t.int_latency_total <- 0;
   t.int_latency_max <- 0;
   t.traps_taken <- 0
+
+(* -- first-execution preparation ----------------------------------------- *)
+
+(* One op's actions, rewritten so that executing them looks nothing up:
+   immediate operands fold to constants; a named register becomes an
+   operand slot, appended to the op's arguments, that holds its id; a
+   constant that its use resizes (a [Zext], a destination's width) is
+   resized here.  Preparation never raises: an action whose rewriting
+   fails (an unknown register, an operand out of range, an immediate
+   destination) stays as it is, so it fails in the same phase, with the
+   same error, as it would unprepared. *)
+let prepare_op t (op : Inst.op) =
+  let args = op.Inst.op_args in
+  let named = ref [] in
+  let slot (r : Desc.reg) =
+    named := Inst.A_reg r.Desc.r_id :: !named;
+    Array.length args + List.length !named - 1
+  in
+  let sized w = function
+    | Rtl.Const v -> Rtl.Const (Bitvec.resize ~width:w v)
+    | e -> e
+  in
+  let rec pe (e : Rtl.expr) =
+    match e with
+    | Rtl.Opnd i -> (
+        match args.(i) with Inst.A_imm v -> Rtl.Const v | Inst.A_reg _ -> e)
+    | Rtl.Reg name -> Rtl.Opnd (slot (Desc.get_reg t.desc name))
+    | Rtl.Const _ | Rtl.Flag _ -> e
+    | Rtl.Add (a, b) -> Rtl.Add (pe a, pe b)
+    | Rtl.Sub (a, b) -> Rtl.Sub (pe a, pe b)
+    | Rtl.And (a, b) -> Rtl.And (pe a, pe b)
+    | Rtl.Or (a, b) -> Rtl.Or (pe a, pe b)
+    | Rtl.Xor (a, b) -> Rtl.Xor (pe a, pe b)
+    | Rtl.Not a -> Rtl.Not (pe a)
+    | Rtl.Slice (a, hi, lo) -> Rtl.Slice (pe a, hi, lo)
+    | Rtl.Concat (a, b) -> Rtl.Concat (pe a, pe b)
+    | Rtl.Zext (w, a) -> (
+        match pe a with Rtl.Const _ as k -> sized w k | a -> Rtl.Zext (w, a))
+    | Rtl.Mux (c, a, b) -> Rtl.Mux (pe c, pe a, pe b)
+  in
+  (* a destination, and the width its value is resized to *)
+  let dest (d : Rtl.dest) =
+    match d with
+    | Rtl.D_reg name ->
+        let r = Desc.get_reg t.desc name in
+        (Rtl.D_opnd (slot r), r.Desc.r_width)
+    | Rtl.D_opnd i -> (
+        match args.(i) with
+        | Inst.A_reg r -> (d, (Desc.reg t.desc r).Desc.r_width)
+        | Inst.A_imm _ -> invalid_arg "immediate destination")
+  in
+  let action (a : Rtl.action) =
+    try
+      match a with
+      | Rtl.Assign (d, e) ->
+          let d, w = dest d in
+          Rtl.Assign (d, sized w (pe e))
+      | Rtl.Arith (d, op, a, b) ->
+          let d, w = dest d in
+          Rtl.Arith (d, op, sized w (pe a), sized w (pe b))
+      | Rtl.Arith_nf (d, op, a, b) ->
+          let d, w = dest d in
+          Rtl.Arith_nf (d, op, sized w (pe a), sized w (pe b))
+      | Rtl.Arith_flags (op, a, b) -> Rtl.Arith_flags (op, pe a, pe b)
+      | Rtl.Mem_read (d, a) -> Rtl.Mem_read (fst (dest d), pe a)
+      | Rtl.Mem_write (a, v) -> Rtl.Mem_write (pe a, pe v)
+      | Rtl.Set_flag (f, e) -> Rtl.Set_flag (f, pe e)
+      | Rtl.Int_ack -> a
+    with Invalid_argument _ -> a
+  in
+  let acts = List.map action op.Inst.op_t.Desc.t_actions in
+  let args = Array.append args (Array.of_list (List.rev !named)) in
+  List.map (fun a -> (args, a)) acts
+
+(* word [pc]'s phases (a machine has at least one), prepared once *)
+let phases t pc =
+  let p = t.prepared.(pc) in
+  if Array.length p > 0 then p
+  else begin
+    let prep ops = Array.of_list (List.concat_map (prepare_op t) ops) in
+    let p = Array.map prep (Inst.ops_by_phase t.desc t.store.(pc).Inst.ops) in
+    t.prepared.(pc) <- p;
+    p
+  end
 
 (* -- expression evaluation ---------------------------------------------- *)
 
@@ -224,6 +304,15 @@ let dest_reg_id t (args : Inst.arg array) = function
       | Inst.A_imm _ ->
           Diag.error Diag.Execution "microop writes to an immediate operand")
 
+(* a destination's width: [Desc.reg]'s, with its error for a bad id *)
+let reg_width t id =
+  let regs = t.desc.Desc.d_regs in
+  if id >= 0 && id < Array.length regs then regs.(id).Desc.r_width
+  else (Desc.reg t.desc id).Desc.r_width
+
+(* [Bitvec.to_int (Bitvec.resize ~width:62 v)] without the resized copy *)
+let address v = Int64.to_int (Bitvec.to_int64 v) land max_int
+
 let buffer_reg t id v =
   t.wb_ids.(t.wb_n) <- id;
   t.wb_vals.(t.wb_n) <- v;
@@ -241,11 +330,10 @@ let exec_action t args (a : Rtl.action) =
   match a with
   | Rtl.Assign (d, e) ->
       let id = dest_reg_id t args d in
-      buffer_reg t id
-        (Bitvec.resize ~width:(Desc.reg t.desc id).Desc.r_width (eval t args e))
+      buffer_reg t id (Bitvec.resize ~width:(reg_width t id) (eval t args e))
   | Rtl.Arith (d, op2, e1, e2) ->
       let id = dest_reg_id t args d in
-      let w = (Desc.reg t.desc id).Desc.r_width in
+      let w = reg_width t id in
       let v1 = Bitvec.resize ~width:w (eval t args e1) in
       let v2 = Bitvec.resize ~width:w (eval t args e2) in
       let r, f = Rtl.eval_abinop op2 v1 v2 ~carry_in:t.flags.(0) in
@@ -258,48 +346,44 @@ let exec_action t args (a : Rtl.action) =
       buffer_flags t f
   | Rtl.Arith_nf (d, op2, e1, e2) ->
       let id = dest_reg_id t args d in
-      let w = (Desc.reg t.desc id).Desc.r_width in
+      let w = reg_width t id in
       let v1 = Bitvec.resize ~width:w (eval t args e1) in
       let v2 = Bitvec.resize ~width:w (eval t args e2) in
-      buffer_reg t id (fst (Rtl.eval_abinop op2 v1 v2 ~carry_in:t.flags.(0)))
+      buffer_reg t id (Rtl.eval_abinop_result op2 v1 v2 ~carry_in:t.flags.(0))
   | Rtl.Mem_read (d, addr) ->
       let id = dest_reg_id t args d in
-      let a = Bitvec.to_int (Bitvec.resize ~width:62 (eval t args addr)) in
-      let v = Memory.read t.mem a in
-      buffer_reg t id (Bitvec.resize ~width:(Desc.reg t.desc id).Desc.r_width v)
+      let v = Memory.read t.mem (address (eval t args addr)) in
+      buffer_reg t id (Bitvec.resize ~width:(reg_width t id) v)
   | Rtl.Mem_write (addr, value) ->
-      let a = Bitvec.to_int (Bitvec.resize ~width:62 (eval t args addr)) in
+      let a = address (eval t args addr) in
       t.wb_mem <- (a, eval t args value) :: t.wb_mem
   | Rtl.Set_flag (f, e) ->
       t.wb_flags.(flag_index f) <- Bool.to_int (Bitvec.lsb (eval t args e))
   | Rtl.Int_ack -> t.wb_ack <- true
 
-(* Top-level loops rather than [List.iter], whose closures would be a
-   good part of what a step allocates. *)
-let rec exec_actions t args = function
-  | [] -> ()
-  | a :: rest ->
-      exec_action t args a;
-      exec_actions t args rest
-
-let rec exec_ops t = function
-  | [] -> ()
-  | (op : Inst.op) :: rest ->
-      exec_actions t op.Inst.op_args op.Inst.op_t.Desc.t_actions;
-      exec_ops t rest
-
-(* Execute all actions of the ops scheduled in one phase.  Every register,
-   flag and memory write is buffered and committed only after all of the
-   phase's actions are evaluated, so every read (memory reads included)
-   sees the phase-start state; a microtrap mid-phase discards the buffer. *)
-let exec_phase t ops =
+(* Execute all actions of one phase.  Every register, flag and memory
+   write is buffered and committed only after all of the phase's actions
+   are evaluated, so every read (memory reads included) sees the
+   phase-start state; a microtrap mid-phase discards the buffer.  The flag
+   slots are reset by five stores: [Array.fill] is a C call. *)
+let exec_phase t (acts : phase) =
+  let f = t.wb_flags in
   t.wb_n <- 0;
-  Array.fill t.wb_flags 0 5 (-1);
-  t.wb_mem <- [];
+  f.(0) <- -1;
+  f.(1) <- -1;
+  f.(2) <- -1;
+  f.(3) <- -1;
+  f.(4) <- -1;
+  (match t.wb_mem with [] -> () | _ :: _ -> t.wb_mem <- []);
   t.wb_ack <- false;
-  exec_ops t ops;
+  for i = 0 to Array.length acts - 1 do
+    let args, a = acts.(i) in
+    exec_action t args a
+  done;
   (* commit: memory writes can still fault, so do them first *)
-  List.iter (fun (a, v) -> Memory.write t.mem a v) (List.rev t.wb_mem);
+  (match t.wb_mem with
+  | [] -> ()
+  | l -> List.iter (fun (a, v) -> Memory.write t.mem a v) (List.rev l));
   for i = 0 to t.wb_n - 1 do
     t.regs.(t.wb_ids.(i)) <- t.wb_vals.(i)
   done;
@@ -309,7 +393,7 @@ let exec_phase t ops =
   if t.wb_ack && t.int_pending then begin
     t.int_pending <- false;
     t.int_serviced <- t.int_serviced + 1;
-    let lat = t.cycles - t.int_pending_since in
+    let lat = t.ctr.cycles - t.int_pending_since in
     t.int_latency_total <- t.int_latency_total + lat;
     t.int_latency_max <- max t.int_latency_max lat;
     if Trace.enabled () then
@@ -317,7 +401,7 @@ let exec_phase t ops =
         ~args:
           [
             ("latency_cycles", Trace.A_int lat);
-            ("cycle", Trace.A_int t.cycles);
+            ("cycle", Trace.A_int t.ctr.cycles);
           ]
   end
 
@@ -342,14 +426,14 @@ let eval_cond t = function
 
 let deliver_interrupts t =
   match t.int_schedule with
-  | c :: rest when c <= t.cycles ->
+  | c :: rest when c <= t.ctr.cycles ->
       t.int_schedule <- rest;
       if not t.int_pending then begin
         t.int_pending <- true;
-        t.int_pending_since <- t.cycles;
+        t.int_pending_since <- t.ctr.cycles;
         if Trace.enabled () then
           Trace.instant ~cat:"sim" "interrupt_delivered"
-            ~args:[ ("cycle", Trace.A_int t.cycles) ]
+            ~args:[ ("cycle", Trace.A_int t.ctr.cycles) ]
       end
   | _ :: _ | [] -> ()
 
@@ -362,65 +446,67 @@ let service_page_fault t addr =
   match t.trap_mode with
   | Fault_is_error ->
       Diag.error Diag.Execution "page fault at address %d (cycle %d)" addr
-        t.cycles
+        t.ctr.cycles
   | Restart ->
       (* Service the fault and restart the microprogram.  Register
          values survive (the macroarchitecture saves and restores
          them), which is precisely the survey's incread hazard. *)
       t.traps_taken <- t.traps_taken + 1;
-      t.cycles <- t.cycles + fault_penalty;
+      t.ctr.cycles <- t.ctr.cycles + fault_penalty;
       if Trace.enabled () then
         Trace.instant ~cat:"sim" "microtrap"
           ~args:
             [
               ("addr", Trace.A_int addr);
-              ("pc", Trace.A_int t.mpc);
-              ("cycle", Trace.A_int t.cycles);
+              ("pc", Trace.A_int t.ctr.pc);
+              ("cycle", Trace.A_int t.ctr.cycles);
             ];
       Memory.mark_present t.mem ~page:(Memory.page_of t.mem addr);
-      t.mpc <- 0;
+      t.ctr.pc <- 0;
       t.call_stack <- []
 
 let step t =
-  if t.halted then ()
+  let c = t.ctr in
+  if c.halted then ()
   else begin
     deliver_interrupts t;
-    if t.mpc < 0 || t.mpc >= Array.length t.store then
+    if c.pc < 0 || c.pc >= Array.length t.store then
       Diag.error Diag.Execution "micro PC %d outside control store (size %d)"
-        t.mpc (Array.length t.store);
-    let pc = t.mpc in
+        c.pc (Array.length t.store);
+    let pc = c.pc in
     let inst = t.store.(pc) in
-    (try
-       let phases = t.phase_ops.(pc) in
-       for p = 0 to Array.length phases - 1 do
-         match phases.(p) with [] -> () | ops -> exec_phase t ops
-       done;
-       t.cycles <- t.cycles + 1 + t.extra.(pc);
-       t.insts_executed <- t.insts_executed + 1;
-       (match inst.Inst.next with
-       | Inst.Next -> t.mpc <- t.mpc + 1
-       | Inst.Jump a -> t.mpc <- a
-       | Inst.Branch (c, a) ->
-           if eval_cond t c then t.mpc <- a else t.mpc <- t.mpc + 1
-       | Inst.Dispatch { dreg; hi; lo; base } ->
-           let idx = Bitvec.to_int (Bitvec.extract ~hi ~lo t.regs.(dreg)) in
-           t.mpc <- base + idx
-       | Inst.Call a ->
-           t.call_stack <- (t.mpc + 1) :: t.call_stack;
-           t.mpc <- a
-       | Inst.Return -> (
-           match t.call_stack with
-           | pc :: rest ->
-               t.call_stack <- rest;
-               t.mpc <- pc
-           | [] -> Diag.error Diag.Execution "return with empty microstack")
-       | Inst.Halt -> t.halted <- true)
-     with Memory.Page_fault addr -> service_page_fault t addr)
+    let phases = phases t pc in
+    try
+      for p = 0 to Array.length phases - 1 do
+        let acts = phases.(p) in
+        if Array.length acts > 0 then exec_phase t acts
+      done;
+      c.cycles <- c.cycles + 1 + t.extra.(pc);
+      c.insts <- c.insts + 1;
+      match inst.Inst.next with
+      | Inst.Next -> c.pc <- pc + 1
+      | Inst.Jump a -> c.pc <- a
+      | Inst.Branch (cond, a) ->
+          if eval_cond t cond then c.pc <- a else c.pc <- pc + 1
+      | Inst.Dispatch { dreg; hi; lo; base } ->
+          let idx = Bitvec.to_int (Bitvec.extract ~hi ~lo t.regs.(dreg)) in
+          c.pc <- base + idx
+      | Inst.Call a ->
+          t.call_stack <- (pc + 1) :: t.call_stack;
+          c.pc <- a
+      | Inst.Return -> (
+          match t.call_stack with
+          | ret :: rest ->
+              t.call_stack <- rest;
+              c.pc <- ret
+          | [] -> Diag.error Diag.Execution "return with empty microstack")
+      | Inst.Halt -> c.halted <- true
+    with Memory.Page_fault addr -> service_page_fault t addr
   end
 
 let emit_counters t =
-  Trace.counter ~cat:"sim" "cycles" t.cycles;
-  Trace.counter ~cat:"sim" "insts_executed" t.insts_executed;
+  Trace.counter ~cat:"sim" "cycles" t.ctr.cycles;
+  Trace.counter ~cat:"sim" "insts_executed" t.ctr.insts;
   Trace.counter ~cat:"sim" "interrupt_polls" t.int_polls;
   if t.traps_taken > 0 then
     Trace.counter ~cat:"sim" "microtraps" t.traps_taken
@@ -435,7 +521,7 @@ let run ?(fuel = 2_000_000) t =
           ("fuel", Trace.A_int fuel);
         ];
   let rec loop fuel steps =
-    if t.halted then Halted
+    if t.ctr.halted then Halted
     else if fuel <= 0 then Out_of_fuel
     else begin
       step t;
@@ -452,8 +538,8 @@ let run ?(fuel = 2_000_000) t =
       ~args:
         [
           ("halted", Trace.A_bool (status = Halted));
-          ("cycles", Trace.A_int t.cycles);
-          ("pc", Trace.A_int t.mpc);
+          ("cycles", Trace.A_int t.ctr.cycles);
+          ("pc", Trace.A_int t.ctr.pc);
         ]
   end;
   status
@@ -490,8 +576,8 @@ let arch_digest t =
 
 let state_digest t =
   let b = Buffer.create 512 in
-  Printf.bprintf b "pc=%d halted=%b cycles=%d insts=%d\n" t.mpc t.halted
-    t.cycles t.insts_executed;
+  Printf.bprintf b "pc=%d halted=%b cycles=%d insts=%d\n" t.ctr.pc t.ctr.halted
+    t.ctr.cycles t.ctr.insts;
   Printf.bprintf b "traps=%d polls=%d serviced=%d latency=%d/%d pending=%b\n"
     t.traps_taken t.int_polls t.int_serviced t.int_latency_total
     t.int_latency_max t.int_pending;
@@ -513,11 +599,8 @@ module Engine = struct
   let regs t = t.regs
   let flags t = t.flags
   let store t = t.store
-  let phase_ops t = t.phase_ops
+  let counters t = t.ctr
   let buffer_capacity t = Array.length t.wb_ids
-  let halted t = t.halted
-  let set_halted t b = t.halted <- b
-  let set_pc t pc = t.mpc <- pc
   let push_call t pc = t.call_stack <- pc :: t.call_stack
 
   let pop_call t =
@@ -526,13 +609,6 @@ module Engine = struct
     | pc :: rest ->
         t.call_stack <- rest;
         Some pc
-
-  (* one call per retired word: its cycles, the instruction count and
-     the pc it hands on to *)
-  let retire t cycles pc =
-    t.cycles <- t.cycles + cycles;
-    t.insts_executed <- t.insts_executed + 1;
-    t.mpc <- pc
 
   let has_interrupt_work t = t.int_schedule <> []
   let deliver_interrupts = deliver_interrupts

@@ -24,6 +24,15 @@ type status = Halted | Out_of_fuel
 
 type t
 
+(** The run counters, one record both engines update in place.  Read
+    them through {!pc}, {!cycles} and {!insts_executed}. *)
+type counters = {
+  mutable pc : int;
+  mutable cycles : int;
+  mutable insts : int;
+  mutable halted : bool;
+}
+
 val flag_index : Rtl.flag -> int
 (** Stable numbering of the five condition flags (used by the encoder). *)
 
@@ -35,7 +44,8 @@ val desc : t -> Desc.t
 val memory : t -> Memory.t
 
 val load_store : t -> Inst.t list -> unit
-(** Install a program and reset the micro PC.
+(** Install a program and reset the micro PC.  The interpreter prepares
+    each word on its first execution, which moves no failure earlier.
     @raise Msl_util.Diag.Error when it exceeds the control store. *)
 
 val reset : t -> unit
@@ -113,21 +123,15 @@ module Engine : sig
   val flags : t -> bool array
   val store : t -> Inst.t array
 
-  val phase_ops : t -> Inst.op list array array
-  (** Per word, {!Inst.ops_by_phase}: split once, at {!load_store}. *)
+  val counters : t -> counters
+  (** The record itself: a word retires with three stores into it. *)
 
   val buffer_capacity : t -> int
-  (** The most actions any one phase of the store runs, which bounds the
+  (** The most actions any one word of the store runs, which bounds the
       register writes a phase buffers. *)
 
-  val halted : t -> bool
-  val set_halted : t -> bool -> unit
-  val set_pc : t -> int -> unit
   val push_call : t -> int -> unit
   val pop_call : t -> int option
-  val retire : t -> int -> int -> unit
-  (** [retire t cycles pc]: a word completed — add its cycles, count it,
-      and set the micro PC to [pc]. *)
 
   val has_interrupt_work : t -> bool
   (** Whether interrupt delivery can still occur (schedule nonempty). *)

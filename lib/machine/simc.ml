@@ -1,9 +1,9 @@
 (* Compiled simulation engine.
 
-   The interpreter ([Sim.step]) splits each word by phase once, at load,
-   but still walks every op's RTL tree on every cycle, looking up operand
-   widths and named registers and allocating a bitvector per value and a
-   flag record per ALU op.  This module pays the decoding once, at
+   The interpreter ([Sim.step]) prepares each word once, on its first
+   execution, but still walks every op's RTL tree on every cycle,
+   allocating a bitvector per computed value and a flag record per
+   flag-setting ALU op.  This module pays the decoding once, at
    translation time: the control store becomes a flowgraph of
    pre-decoded closures, one per microinstruction, with operand
    registers, widths, branch conditions and sequencing targets resolved
@@ -120,6 +120,7 @@ type wbuf = {
 
 type t = {
   sim : Sim.t;
+  ctr : Sim.counters;  (* the simulator's own, updated in place *)
   code : (unit -> unit) array;
       (* one closure per control-store word, plus a final sentinel slot
          that reports an out-of-range pc (see [point]) *)
@@ -181,26 +182,33 @@ let point e pc =
 (* Jump to a statically-known target: bounds-checked once, at
    translation time. *)
 let goto e pc =
+  let c = e.ctr in
   if pc >= 0 && pc < words e then
    fun () ->
-    Sim.Engine.set_pc e.sim pc;
+    c.pc <- pc;
     e.next_pc <- pc
   else
     let sentinel = words e in
     fun () ->
-      Sim.Engine.set_pc e.sim pc;
+      c.pc <- pc;
       e.bad_pc <- pc;
       e.next_pc <- sentinel
 
 (* Jump to a runtime-computed target (dispatch, return). *)
 let enter e pc =
-  Sim.Engine.set_pc e.sim pc;
+  e.ctr.pc <- pc;
   point e pc
 
 (* Re-aim the threading slot at wherever the simulator stands — after an
    interpreter fallback step or a serviced microtrap moved the pc under
    us. *)
-let relink e = point e (Sim.pc e.sim)
+let relink e = point e e.ctr.pc
+
+(* A word completed: three stores, inlined into every word closure. *)
+let[@inline] retire (c : Sim.counters) cycles pc =
+  c.cycles <- c.cycles + cycles;
+  c.insts <- c.insts + 1;
+  c.pc <- pc
 
 (* -- static widths ------------------------------------------------------- *)
 
@@ -576,6 +584,9 @@ let with_pre pres core =
 let compile_abinop (op : Rtl.abinop) ~w (a : value) (b : value)
     (flags : bool array) (fs : fsink) ~(dlo : int array) ~(dhi : int array)
     ~(di : int) : unit -> unit =
+  (* the flag-preserving forms, most of every store, skip the flags
+     altogether *)
+  let want = match fs with F_none -> false | F_direct _ | F_buf _ -> true in
   let emit =
     match fs with
     | F_none -> fun _ -> ()
@@ -607,14 +618,16 @@ let compile_abinop (op : Rtl.abinop) ~w (a : value) (b : value)
       (* for w = 62 the raw sum may wrap the OCaml int; [lsr] is
          logical, so bit [w] of the 63-bit representation is still the
          carry *)
-      let c = (raw lsr w) land 1 = 1 in
-      let sa = msb av and sb = msb bv and sr = msb res in
-      emit (pack (if cflip then not c else c) (sa = sb && sr <> sa) (res = 0)
-              sr false);
+      if want then begin
+        let c = (raw lsr w) land 1 = 1 in
+        let sa = msb av and sb = msb bv and sr = msb res in
+        emit (pack (if cflip then not c else c) (sa = sb && sr <> sa)
+                (res = 0) sr false)
+      end;
       dlo.(di) <- res
     in
     let logical res =
-      emit (pack false false (res = 0) (msb res) false);
+      if want then emit (pack false false (res = 0) (msb res) false);
       dlo.(di) <- res
     in
     let core =
@@ -636,7 +649,7 @@ let compile_abinop (op : Rtl.abinop) ~w (a : value) (b : value)
             let raw = aa.(ai) * ba.(bi) in
             let res = raw land m in
             let overflow = raw > m in
-            emit (pack overflow overflow (res = 0) (msb res) false);
+            if want then emit (pack overflow overflow (res = 0) (msb res) false);
             dlo.(di) <- res
       | Rtl.A_shl ->
           fun () ->
@@ -646,7 +659,7 @@ let compile_abinop (op : Rtl.abinop) ~w (a : value) (b : value)
             else begin
               let res = if n >= w then 0 else (av lsl n) land m in
               let so = n <= w && (av lsr (w - n)) land 1 = 1 in
-              emit (pack so false (res = 0) (msb res) so);
+              if want then emit (pack so false (res = 0) (msb res) so);
               dlo.(di) <- res
             end
       | Rtl.A_shr ->
@@ -657,7 +670,7 @@ let compile_abinop (op : Rtl.abinop) ~w (a : value) (b : value)
             else begin
               let res = if n >= w then 0 else av lsr n in
               let so = n <= w && (av lsr (n - 1)) land 1 = 1 in
-              emit (pack so false (res = 0) (msb res) so);
+              if want then emit (pack so false (res = 0) (msb res) so);
               dlo.(di) <- res
             end
       | Rtl.A_sra ->
@@ -706,15 +719,17 @@ let compile_abinop (op : Rtl.abinop) ~w (a : value) (b : value)
       let rlo = s land m62 in
       let sh = ah + bh + ((s lsr 62) land 1) in
       let rhi = sh land mh in
-      let c = (sh lsr wh) land 1 = 1 in
-      let sa = msbh ah and sb = msbh bh and sr = msbh rhi in
-      emit (pack (if cflip then not c else c) (sa = sb && sr <> sa)
-              (rlo = 0 && rhi = 0) sr false);
+      if want then begin
+        let c = (sh lsr wh) land 1 = 1 in
+        let sa = msbh ah and sb = msbh bh and sr = msbh rhi in
+        emit (pack (if cflip then not c else c) (sa = sb && sr <> sa)
+                (rlo = 0 && rhi = 0) sr false)
+      end;
       dlo.(di) <- rlo;
       dhi.(di) <- rhi
     in
     let logical2 rlo rhi =
-      emit (pack false false (rlo = 0 && rhi = 0) (msbh rhi) false);
+      if want then emit (pack false false (rlo = 0 && rhi = 0) (msbh rhi) false);
       dlo.(di) <- rlo;
       dhi.(di) <- rhi
     in
@@ -1029,6 +1044,7 @@ let compile_phase e (acts : (Inst.arg array * Rtl.action) list) :
 
 let compile_seq e i (n : Inst.next) =
   let s = e.sim in
+  let ctr = e.ctr in
   match n with
   | Inst.Next -> goto e (i + 1)
   | Inst.Jump a -> goto e a
@@ -1046,19 +1062,19 @@ let compile_seq e i (n : Inst.next) =
             let flags = Sim.Engine.flags s in
             fun () ->
               let t = if flags.(fi) = v then a else i + 1 in
-              Sim.Engine.set_pc s t;
+              ctr.pc <- t;
               e.next_pc <- t
         | Desc.C_reg_zero (r, v) when reg_width (Sim.desc s) r <= 62 ->
             let ints = e.ints in
             fun () ->
               let t = if (ints.(r) = 0) = v then a else i + 1 in
-              Sim.Engine.set_pc s t;
+              ctr.pc <- t;
               e.next_pc <- t
         | _ ->
             let cond = compile_cond e c in
             fun () ->
               let t = if cond () then a else i + 1 in
-              Sim.Engine.set_pc s t;
+              ctr.pc <- t;
               e.next_pc <- t
       else
         let cond = compile_cond e c in
@@ -1088,7 +1104,7 @@ let compile_seq e i (n : Inst.next) =
         match Sim.Engine.pop_call s with
         | Some pc -> enter e pc
         | None -> Diag.error Diag.Execution "return with empty microstack")
-  | Inst.Halt -> fun () -> Sim.Engine.set_halted s true
+  | Inst.Halt -> fun () -> ctr.halted <- true
 
 (* -- word compilation ---------------------------------------------------- *)
 
@@ -1117,10 +1133,11 @@ let fallback_word e =
         sync_in e;
         raise ex);
     sync_in e;
-    if not (Sim.Engine.halted s) then relink e
+    if not e.ctr.halted then relink e
 
 let compile_native e i (inst : Inst.t) =
   let s = e.sim in
+  let c = e.ctr in
   let actions (op : Inst.op) =
     List.map (fun a -> (op.Inst.op_args, a)) op.Inst.op_t.Desc.t_actions
   in
@@ -1131,7 +1148,7 @@ let compile_native e i (inst : Inst.t) =
            match List.concat_map actions ops with
            | [] -> []
            | acts -> compile_phase e acts)
-         (Array.to_list (Sim.Engine.phase_ops s).(i)))
+         (Array.to_list (Inst.ops_by_phase (Sim.desc s) inst.Inst.ops)))
   in
   let extra = 1 + Inst.inst_extra_cycles inst in
   let touches_mem = List.exists Inst.op_touches_memory inst.Inst.ops in
@@ -1145,145 +1162,99 @@ let compile_native e i (inst : Inst.t) =
     | Inst.Jump a when a >= 0 && a < words e -> a
     | _ -> -1
   in
-  if static_tgt >= 0 then begin
-    let t = static_tgt in
-    if touches_mem then
-      (* the whole step sits inside the fault handler: the trap path
-         redirects the pc (Restart) or raises (Fault_is_error); either
-         way the aborted word's cycle and instruction counts stay
-         unbumped, like the interpreter's *)
-      match runners with
-      | [||] ->
-          fun () ->
-            if e.deliver then Sim.Engine.deliver_interrupts s;
-            Sim.Engine.retire s extra t;
-            e.next_pc <- t
-      | [| r |] -> (
-          fun () ->
-            if e.deliver then Sim.Engine.deliver_interrupts s;
-            try
-              r ();
-              Sim.Engine.retire s extra t;
-              e.next_pc <- t
-            with Memory.Page_fault addr ->
-              Sim.Engine.service_page_fault s addr;
-              relink e)
-      | [| r1; r2 |] -> (
-          fun () ->
-            if e.deliver then Sim.Engine.deliver_interrupts s;
-            try
-              r1 ();
-              r2 ();
-              Sim.Engine.retire s extra t;
-              e.next_pc <- t
-            with Memory.Page_fault addr ->
-              Sim.Engine.service_page_fault s addr;
-              relink e)
-      | rs -> (
-          fun () ->
-            if e.deliver then Sim.Engine.deliver_interrupts s;
-            try
-              for p = 0 to Array.length rs - 1 do
-                rs.(p) ()
-              done;
-              Sim.Engine.retire s extra t;
-              e.next_pc <- t
-            with Memory.Page_fault addr ->
-              Sim.Engine.service_page_fault s addr;
-              relink e)
+  if touches_mem then
+    (* the whole step sits inside the fault handler: the trap path
+       redirects the pc (Restart) or raises (Fault_is_error); either way
+       the aborted word's cycle and instruction counts stay unbumped,
+       like the interpreter's.  Memory words are rare enough in the
+       kernels that one loop over the runners serves every shape. *)
+    if static_tgt >= 0 then (
+      let t = static_tgt in
+      fun () ->
+        if e.deliver then Sim.Engine.deliver_interrupts s;
+        try
+          for p = 0 to Array.length runners - 1 do
+            runners.(p) ()
+          done;
+          retire c extra t;
+          e.next_pc <- t
+        with Memory.Page_fault addr ->
+          Sim.Engine.service_page_fault s addr;
+          relink e)
     else
-      match runners with
-      | [||] ->
-          fun () ->
-            if e.deliver then Sim.Engine.deliver_interrupts s;
-            Sim.Engine.retire s extra t;
-            e.next_pc <- t
-      | [| r |] ->
-          fun () ->
-            if e.deliver then Sim.Engine.deliver_interrupts s;
-            r ();
-            Sim.Engine.retire s extra t;
-            e.next_pc <- t
-      | [| r1; r2 |] ->
-          fun () ->
-            if e.deliver then Sim.Engine.deliver_interrupts s;
-            r1 ();
-            r2 ();
-            Sim.Engine.retire s extra t;
-            e.next_pc <- t
-      | rs ->
-          fun () ->
-            if e.deliver then Sim.Engine.deliver_interrupts s;
-            for p = 0 to Array.length rs - 1 do
-              rs.(p) ()
-            done;
-            Sim.Engine.retire s extra t;
-            e.next_pc <- t
+      let seq = compile_seq e i inst.Inst.next in
+      fun () ->
+        if e.deliver then Sim.Engine.deliver_interrupts s;
+        try
+          for p = 0 to Array.length runners - 1 do
+            runners.(p) ()
+          done;
+          retire c extra i;
+          seq ()
+        with Memory.Page_fault addr ->
+          Sim.Engine.service_page_fault s addr;
+          relink e
+  else if static_tgt >= 0 then begin
+    let t = static_tgt in
+    match runners with
+    | [||] ->
+        fun () ->
+          if e.deliver then Sim.Engine.deliver_interrupts s;
+          retire c extra t;
+          e.next_pc <- t
+    | [| r |] ->
+        fun () ->
+          if e.deliver then Sim.Engine.deliver_interrupts s;
+          r ();
+          retire c extra t;
+          e.next_pc <- t
+    | [| r1; r2 |] ->
+        fun () ->
+          if e.deliver then Sim.Engine.deliver_interrupts s;
+          r1 ();
+          r2 ();
+          retire c extra t;
+          e.next_pc <- t
+    | rs ->
+        fun () ->
+          if e.deliver then Sim.Engine.deliver_interrupts s;
+          for p = 0 to Array.length rs - 1 do
+            rs.(p) ()
+          done;
+          retire c extra t;
+          e.next_pc <- t
   end
   else
+    (* non-memory words cannot fault: flatten the whole step into one
+       closure, no body indirection *)
     let seq = compile_seq e i inst.Inst.next in
-    if touches_mem then
-      let body =
-        match runners with
-        | [||] ->
-            fun () ->
-              Sim.Engine.retire s extra i;
-              seq ()
-        | [| r |] ->
-            fun () ->
-              r ();
-              Sim.Engine.retire s extra i;
-              seq ()
-        | [| r1; r2 |] ->
-            fun () ->
-              r1 ();
-              r2 ();
-              Sim.Engine.retire s extra i;
-              seq ()
-        | rs ->
-            fun () ->
-              for p = 0 to Array.length rs - 1 do
-                rs.(p) ()
-              done;
-              Sim.Engine.retire s extra i;
-              seq ()
-      in
-      fun () ->
-       if e.deliver then Sim.Engine.deliver_interrupts s;
-       try body ()
-       with Memory.Page_fault addr ->
-         Sim.Engine.service_page_fault s addr;
-         relink e
-    else
-      (* non-memory words cannot fault: flatten the whole step into one
-         closure, no body indirection *)
-      match runners with
-      | [||] ->
-          fun () ->
-            if e.deliver then Sim.Engine.deliver_interrupts s;
-            Sim.Engine.retire s extra i;
-            seq ()
-      | [| r |] ->
-          fun () ->
-            if e.deliver then Sim.Engine.deliver_interrupts s;
-            r ();
-            Sim.Engine.retire s extra i;
-            seq ()
-      | [| r1; r2 |] ->
-          fun () ->
-            if e.deliver then Sim.Engine.deliver_interrupts s;
-            r1 ();
-            r2 ();
-            Sim.Engine.retire s extra i;
-            seq ()
-      | rs ->
-          fun () ->
-            if e.deliver then Sim.Engine.deliver_interrupts s;
-            for p = 0 to Array.length rs - 1 do
-              rs.(p) ()
-            done;
-            Sim.Engine.retire s extra i;
-            seq ()
+    match runners with
+    | [||] ->
+        fun () ->
+          if e.deliver then Sim.Engine.deliver_interrupts s;
+          retire c extra i;
+          seq ()
+    | [| r |] ->
+        fun () ->
+          if e.deliver then Sim.Engine.deliver_interrupts s;
+          r ();
+          retire c extra i;
+          seq ()
+    | [| r1; r2 |] ->
+        fun () ->
+          if e.deliver then Sim.Engine.deliver_interrupts s;
+          r1 ();
+          r2 ();
+          retire c extra i;
+          seq ()
+    | rs ->
+        fun () ->
+          if e.deliver then Sim.Engine.deliver_interrupts s;
+          for p = 0 to Array.length rs - 1 do
+            rs.(p) ()
+          done;
+          retire c extra i;
+          seq ()
 
 let compile_word e i (inst : Inst.t) =
   if word_has_int_ack inst then begin
@@ -1322,6 +1293,7 @@ let translate (s : Sim.t) =
   let e =
     {
       sim = s;
+      ctr = Sim.Engine.counters s;
       code = Array.make (nwords + 1) (fun () -> ());
       ints = Array.make nregs 0;
       his = Array.make nregs 0;
@@ -1376,10 +1348,10 @@ let run ?(fuel = 2_000_000) e =
   e.deliver <- Sim.Engine.has_interrupt_work s;
   sync_in e;
   relink e;
-  let code = e.code in
+  let code = e.code and c = e.ctr in
   let loop () =
     let rec go fuel steps =
-      if Sim.Engine.halted s then Sim.Halted
+      if c.halted then Sim.Halted
       else if fuel <= 0 then Sim.Out_of_fuel
       else begin
         (* [next_pc] is always in [0, words]: in-range by [point], or the

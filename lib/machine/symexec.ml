@@ -257,7 +257,7 @@ let alu ctx op a b ~carry =
   | Rtl.A_shl | Rtl.A_shr | Rtl.A_sra | Rtl.A_rol | Rtl.A_ror -> (
       match (as_const a, as_const b) with
       | Some x, Some y ->
-          const ctx (fst (Rtl.eval_abinop op x y ~carry_in:false))
+          const ctx (Rtl.eval_abinop_result op x y ~carry_in:false)
       | _ ->
           mk ctx ~width:a.width ~has_mem:(a.has_mem || b.has_mem)
             (Alu (op, a, b)) (K2 (t_alu op, a.id, b.id)))
@@ -267,12 +267,14 @@ let is_zero_term ctx r = mux ctx r (false_ ctx) (true_ ctx)
 (* One condition flag of [op a b], mirroring [Rtl.eval_abinop] +
    [Bitvec.flags_of]: Z and N are functions of the result alone; the ops
    whose flag base is [no_flags] pin C/V/U to false; shl/shr report the
-   same shifted-out bit in both C and U, so C canonicalizes onto U. *)
+   same shifted-out bit in both C and U, so C canonicalizes onto U.  Only
+   adc reads the carry-in, so only adc needs it constant to fold. *)
 let alu_flag ctx fl op a b ~carry =
   chk "alu_flag" a b;
   match (as_const a, as_const b, as_const carry) with
-  | Some x, Some y, Some c ->
-      let _, f = Rtl.eval_abinop op x y ~carry_in:(Bitvec.lsb c) in
+  | Some x, Some y, c when op <> Rtl.A_adc || Option.is_some c ->
+      let carry_in = Option.fold ~none:false ~some:Bitvec.lsb c in
+      let _, f = Rtl.eval_abinop op x y ~carry_in in
       const ctx
         (Bitvec.of_bool
            (match fl with
@@ -365,7 +367,7 @@ let eval env t0 =
     | Concat (a, b) -> Bitvec.concat (go a) (go b)
     | Zext a -> Bitvec.resize ~width:t.width (go a)
     | Mux (c, a, b) -> if Bitvec.is_zero (go c) then go b else go a
-    | Alu (op, a, b) -> fst (Rtl.eval_abinop op (go a) (go b) ~carry_in:false)
+    | Alu (op, a, b) -> Rtl.eval_abinop_result op (go a) (go b) ~carry_in:false
     | Alu_flag (fl, op, a, b, cin) ->
         let _, f =
           Rtl.eval_abinop op (go a) (go b) ~carry_in:(Bitvec.lsb (go cin))
@@ -690,6 +692,8 @@ let rec seval ctx (d : Desc.t) (s : store) (args : Inst.arg array)
 let exec_phase ctx (d : Desc.t) (s : store) ops =
   let wb_regs = ref [] and wb_flags = ref [] and wb_mem = ref [] in
   let wb_ack = ref false in
+  (* only adc reads the live C flag, so no other op materialises it *)
+  let carry_in op2 = if op2 = Rtl.A_adc then flag_at ctx s 0 else false_ ctx in
   let buffer_flags op v1 v2 cin =
     wb_flags :=
       (4, alu_flag ctx Rtl.U op v1 v2 ~carry:cin)
@@ -715,20 +719,19 @@ let exec_phase ctx (d : Desc.t) (s : store) ops =
               let w = (reg_info d id).Desc.r_width in
               let v1 = zext ctx w (ev e1) in
               let v2 = zext ctx w (ev e2) in
-              let cin = flag_at ctx s 0 in
+              let cin = carry_in op2 in
               wb_regs := (id, alu ctx op2 v1 v2 ~carry:cin) :: !wb_regs;
               buffer_flags op2 v1 v2 cin
           | Rtl.Arith_flags (op2, e1, e2) ->
               let v1 = ev e1 in
               let v2 = zext ctx v1.width (ev e2) in
-              buffer_flags op2 v1 v2 (flag_at ctx s 0)
+              buffer_flags op2 v1 v2 (carry_in op2)
           | Rtl.Arith_nf (dst, op2, e1, e2) ->
               let id = dest_reg_id d args dst in
               let w = (reg_info d id).Desc.r_width in
               let v1 = zext ctx w (ev e1) in
               let v2 = zext ctx w (ev e2) in
-              let cin = flag_at ctx s 0 in
-              wb_regs := (id, alu ctx op2 v1 v2 ~carry:cin) :: !wb_regs
+              wb_regs := (id, alu ctx op2 v1 v2 ~carry:(carry_in op2)) :: !wb_regs
           | Rtl.Mem_read (dst, addr) ->
               let id = dest_reg_id d args dst in
               let a = zext ctx 62 (ev addr) in

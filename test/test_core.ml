@@ -408,9 +408,11 @@ let test_proof_no_direct_major () =
 (* The interpreter's per-cycle allocation: Sim.run of the -O2 SIMPL
    multiply on HP3 (3000 x 7, 9003 cycles).  It read about 129 minor
    words per cycle while each step filtered its word's ops per phase,
-   copied the register file per phase and consed its write buffer; with
-   the word split at load and a preallocated buffer it reads about 32,
-   the bitvector arithmetic itself. *)
+   copied the register file per phase and consed its write buffer, and
+   about 32 with the word split once and a preallocated buffer.  With
+   each word's actions prepared on first execution, shared 1-bit flag
+   values and result-only arithmetic for the flag-preserving forms it
+   reads about 8: the bitvector results themselves. *)
 let test_interp_alloc_per_cycle () =
   let o2 = { Msl_mir.Pipeline.default_options with opt_level = 2 } in
   let c =
@@ -425,8 +427,8 @@ let test_interp_alloc_per_cycle () =
   let words = Gc.minor_words () -. w0 in
   check_int "product" 21000 (Bitvec.to_int (Sim.get_reg sim "R3"));
   let per_cycle = words /. float_of_int (Sim.cycles sim) in
-  if per_cycle >= 64. then
-    Alcotest.failf "%.1f minor words per simulated cycle (bound 64)" per_cycle
+  if per_cycle >= 13. then
+    Alcotest.failf "%.1f minor words per simulated cycle (bound 13)" per_cycle
 
 let () =
   Alcotest.run "core"
@@ -467,7 +469,7 @@ let () =
             test_load_no_minor_gc;
           Alcotest.test_case "proofs allocate nothing straight into the major heap"
             `Quick test_proof_no_direct_major;
-          Alcotest.test_case "interpreter allocates under 64 words per cycle"
+          Alcotest.test_case "interpreter allocates under 13 words per cycle"
             `Quick test_interp_alloc_per_cycle;
         ] );
     ]

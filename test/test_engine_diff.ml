@@ -288,6 +288,55 @@ let test_reset_reuses_translation () =
   Alcotest.(check string)
     "and match the interpreter" (Sim.state_digest sim_i) second
 
+(* -- first-execution preparation moves no failure earlier ----------------- *)
+
+(* A word whose phase-1 op reads into an immediate, built by hand past
+   [Inst.make]'s checks, after a phase-0 register write.  The interpreter
+   prepares a word on its first execution; the word must still fail in
+   phase 1, after phase 0 committed, on every execution, and the compiled
+   engine must leave the same state behind. *)
+let test_prepare_keeps_failure_phase () =
+  let d = Machines.hp3 in
+  let reg n = Inst.A_reg (Desc.get_reg d n).Desc.r_id in
+  let imm v = Inst.A_imm (Msl_bitvec.Bitvec.of_int ~width:16 v) in
+  let rdr = Option.get (Desc.find_template d "rdr") in
+  let word =
+    {
+      Inst.ops =
+        [
+          Inst.make d "ldc" [ reg "R1"; imm 5 ];
+          { Inst.op_t = rdr; op_args = [| imm 3; reg "R2" |] };
+        ];
+      next = Inst.Halt;
+    }
+  in
+  let sim = Sim.create d in
+  Sim.load_store sim [ word ];
+  let fails what run =
+    match run () with
+    | _ -> Alcotest.failf "%s: the word did not fail" what
+    | exception Diag.Error e ->
+        Alcotest.(check bool)
+          (what ^ ": execution error") true (e.Diag.phase = Diag.Execution);
+        Alcotest.(check string)
+          (what ^ ": message") "microop writes to an immediate operand"
+          e.Diag.message;
+        Alcotest.(check int)
+          (what ^ ": phase 0 committed") 5
+          (Msl_bitvec.Bitvec.to_int (Sim.get_reg sim "R1"));
+        Sim.state_digest sim
+  in
+  let first = fails "first step" (fun () -> Sim.step sim) in
+  Sim.reset sim;
+  Alcotest.(check string)
+    "the prepared word fails alike" first
+    (fails "step after reset" (fun () -> Sim.step sim));
+  Sim.reset sim;
+  let engine = Simc.translate sim in
+  Alcotest.(check string)
+    "the compiled engine leaves the same state" first
+    (fails "compiled run" (fun () -> Simc.run engine))
+
 let () =
   Alcotest.run "engine_diff"
     [
@@ -319,5 +368,7 @@ let () =
             test_microtraps;
           Alcotest.test_case "Sim.reset reuses a translation" `Quick
             test_reset_reuses_translation;
+          Alcotest.test_case "preparation moves no failure earlier" `Quick
+            test_prepare_keeps_failure_phase;
         ] );
     ]
