@@ -525,7 +525,7 @@ let encode_cmd =
         let d = resolve_machine machine machine_file in
         let c = Core.Toolkit.compile lang d (read_file file) in
         Fmt.pr "; %s control store, %d-bit words@." d.Msl_machine.Desc.d_name
-          (Encode.word_bits d);
+          d.Desc.d_word_bits;
         List.iteri
           (fun i inst ->
             let w = Encode.encode_inst d inst in
@@ -547,7 +547,7 @@ let machines_cmd =
         Fmt.pr "%-4s %2d-bit, %d registers, %d-phase, %3d-bit control word%s@.     %s@."
           d.Desc.d_name d.Desc.d_word
           (Array.length d.Desc.d_regs)
-          d.Desc.d_phases (Encode.word_bits d)
+          d.Desc.d_phases d.Desc.d_word_bits
           (if d.Desc.d_vertical then " (vertical)" else "")
           d.Desc.d_note)
       Machines.all

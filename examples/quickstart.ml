@@ -20,7 +20,7 @@ let program =
 let () =
   let d = Machines.hp3 in
   Fmt.pr "Compiling a YALLL program for %s (%d-bit, %d-bit control word)@.@."
-    d.Desc.d_name d.Desc.d_word (Encode.word_bits d);
+    d.Desc.d_name d.Desc.d_word d.Desc.d_word_bits;
   let c = Toolkit.compile Toolkit.Yalll d program in
   Fmt.pr "%s@." (Masm.print d c.Toolkit.c_insts);
   Fmt.pr "%d control-store words, %d microoperations, %d bits@.@."

@@ -35,7 +35,7 @@ let () =
           d.Desc.d_name;
           Tbl.cell_int c.Toolkit.c_words;
           Tbl.cell_int c.Toolkit.c_ops;
-          Tbl.cell_int (Encode.word_bits d);
+          Tbl.cell_int d.Desc.d_word_bits;
           Tbl.cell_int (Sim.cycles sim);
         ])
     Machines.all;

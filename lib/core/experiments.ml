@@ -387,7 +387,7 @@ let t7_rows () =
             t7_program = name;
             t7_machine = d.Desc.d_name;
             t7_cycles = Sim.cycles sim;
-            t7_word_bits = Encode.word_bits d;
+            t7_word_bits = d.Desc.d_word_bits;
             t7_program_bits = c.Toolkit.c_bits;
           })
         [ Machines.hp3; Machines.b17 ])

@@ -119,17 +119,9 @@ type unlinked = {
 }
 
 let unlink (c : compiled) =
-  let templates = c.c_machine.Desc.d_templates in
-  let index tm =
-    let rec find i =
-      if i = Array.length templates then
-        invalid_arg "Toolkit.unlink: op template not in the machine"
-      else if templates.(i) == tm then i
-      else find (i + 1)
-    in
-    find 0
+  let unlink_op (op : Inst.op) =
+    (Desc.template_index c.c_machine op.Inst.op_t, op.Inst.op_args)
   in
-  let unlink_op (op : Inst.op) = (index op.Inst.op_t, op.Inst.op_args) in
   {
     u_language = c.c_language;
     u_insts =

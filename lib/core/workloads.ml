@@ -481,10 +481,6 @@ let defect_name = function
   | D_swap_fields -> "swap-fields"
   | D_drop_dep -> "drop-dep"
 
-let op_identical (o1 : Inst.op) (o2 : Inst.op) =
-  o1.Inst.op_t.Desc.t_name = o2.Inst.op_t.Desc.t_name
-  && o1.Inst.op_args = o2.Inst.op_args
-
 (* Replace the ops of word [i]. *)
 let with_ops insts i ops =
   List.mapi
@@ -508,11 +504,9 @@ let race_ww_sites d insts =
     (fun (i, o1) ->
       List.filter_map
         (fun (j, o2) ->
-          if i < j && not (op_identical o1 o2)
+          if i < j && not (Inst.identical o1 o2)
              && Inst.op_phase o1 = Inst.op_phase o2
-             && List.exists
-                  (fun w -> List.mem w (Inst.op_writes d o2))
-                  (Inst.op_writes d o1)
+             && Inst.first_common (Inst.op_writes d o1) (Inst.op_writes d o2) >= 0
           then Some (i, o2)
           else None)
         ops)
@@ -580,20 +574,14 @@ let inject_defect d ~seed defect insts =
       nth_site (overflow_sites insts) seed
       |> Option.map (fun (i, (op : Inst.op), k) ->
              (* an id with a bit beyond every field the operand feeds *)
-             let widths =
-               List.filter_map
-                 (fun (fs : Desc.field_setting) ->
-                   match fs.fs_value with
-                   | Desc.Fv_opnd k' when k' = k ->
-                       List.find_map
-                         (fun (f : Desc.field) ->
-                           if f.f_name = fs.fs_field then Some f.f_width
-                           else None)
-                         d.Desc.d_fields
-                   | _ -> None)
-                 op.Inst.op_t.Desc.t_fields
-             in
-             let w = List.fold_left max 1 widths in
+             let x = Desc.facts d op.Inst.op_t in
+             let w = ref 1 in
+             Array.iteri
+               (fun j v ->
+                 if v = -1 - k then
+                   w := max !w d.Desc.d_fields.(x.Desc.x_slots.(j)).Desc.f_width)
+               x.Desc.x_values;
+             let w = !w in
              let args = Array.copy op.Inst.op_args in
              args.(k) <- Inst.A_reg (1 lsl w);
              let mutant = { op with Inst.op_args = args } in

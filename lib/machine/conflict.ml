@@ -34,62 +34,49 @@ let rec find_map_pair f = function
       | Some _ as r -> r
       | None -> find_map_pair f rest)
 
-(* Check one unordered pair of distinct ops. *)
-let pair_conflict_distinct d op1 op2 =
-  let fields1 = Inst.op_field_values op1 and fields2 = Inst.op_field_values op2 in
-  let field_clash =
-    List.find_map
-      (fun (f1, v1) ->
-        List.find_map
-          (fun (f2, v2) ->
-            if f1 = f2 && v1 <> v2 then Some (Field_clash (f1, v1, v2)) else None)
-          fields2)
-      fields1
-  in
-  match field_clash with
-  | Some _ as c -> c
-  | None -> (
-      let same_phase = Inst.op_phase op1 = Inst.op_phase op2 in
-      let unit_clash =
-        if not same_phase then None
-        else
-          List.find_map
-            (fun u1 ->
-              if List.mem u1 (Inst.op_units op2) then
-                Some (Unit_clash (u1, Inst.op_phase op1))
-              else None)
-            (Inst.op_units op1)
-      in
-      match unit_clash with
-      | Some _ as c -> c
-      | None ->
-          if Inst.op_touches_memory op1 && Inst.op_touches_memory op2 then
-            Some Memory_port
-          else if same_phase then
-            let ww =
-              List.find_map
-                (fun r1 ->
-                  if List.mem r1 (Inst.op_writes d op2) then
-                    Some (Write_clash (Desc.reg_name d r1))
-                  else None)
-                (Inst.op_writes d op1)
-            in
-            match ww with
-            | Some _ as c -> c
-            | None -> (
-                match (Inst.op_sets_flags op1, Inst.op_sets_flags op2) with
-                | f1 :: _, _ :: _ -> Some (Flag_clash f1)
-                | _, _ -> None)
-          else None)
-
 (* Two literally identical instances are always compatible: they ask for
    exactly the same control-word bits. *)
-let pair_conflict d op1 op2 =
-  if
-    op1.Inst.op_t.Desc.t_name = op2.Inst.op_t.Desc.t_name
-    && op1.Inst.op_args = op2.Inst.op_args
-  then None
-  else pair_conflict_distinct d op1 op2
+let pair_conflict d (op1 : Inst.op) (op2 : Inst.op) =
+  let x1 = Desc.facts d op1.Inst.op_t and x2 = Desc.facts d op2.Inst.op_t in
+  let t1 = op1.Inst.op_t and t2 = op2.Inst.op_t in
+  let s1 = x1.Desc.x_slots and s2 = x2.Desc.x_slots in
+  (* each of op1's settings against op2's, in order *)
+  let rec field_clash i j =
+    if i = Array.length s1 then None
+    else if j = Array.length s2 then field_clash (i + 1) 0
+    else if s1.(i) <> s2.(j) then field_clash i (j + 1)
+    else
+      let v1 = Inst.setting_value x1 op1 i in
+      let v2 = Inst.setting_value x2 op2 j in
+      if v1 <> v2 then
+        Some (Field_clash (d.Desc.d_fields.(s1.(i)).Desc.f_name, v1, v2))
+      else field_clash i (j + 1)
+  in
+  if Inst.identical op1 op2 then None
+  else
+    match field_clash 0 0 with
+    | Some _ as c -> c
+    | None -> (
+        let same_phase = t1.Desc.t_phase = t2.Desc.t_phase in
+        let unit_clash =
+          if same_phase && x1.Desc.x_units land x2.Desc.x_units <> 0 then
+            List.find_opt (fun u -> List.mem u t2.Desc.t_units) t1.Desc.t_units
+          else None
+        in
+        match unit_clash with
+        | Some u -> Some (Unit_clash (u, t1.Desc.t_phase))
+        | None ->
+            if x1.Desc.x_mem && x2.Desc.x_mem then Some Memory_port
+            else if same_phase then
+              let r =
+                Inst.first_common (Inst.op_writes d op1) (Inst.op_writes d op2)
+              in
+              if r >= 0 then Some (Write_clash (Desc.reg_name d r))
+              else if x1.Desc.x_set_flags <> 0 && x2.Desc.x_set_flags <> 0 then
+                let sets f = x1.Desc.x_set_flags lsr Rtl.flag_index f land 1 in
+                Some (Flag_clash (List.find (fun f -> sets f = 1) Rtl.all_flags))
+              else None
+            else None)
 
 (* Can [op] join the ops already placed in a microinstruction? *)
 let fits d placed op =

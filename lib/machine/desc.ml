@@ -55,6 +55,26 @@ type sem =
   | S_nop
   | S_special of string  (* machine-specific (push/pop/new-block ...) *)
 
+(* What [make] derives once per template; see the interface. *)
+type facts = {
+  x_index : int;
+  x_read_opnds : int array;
+  x_write_opnds : int array;
+  x_read_regs : int list;
+  x_write_regs : int list;
+  x_read_flags : int;
+  x_set_flags : int;
+  x_mem : bool;
+  x_units : int;
+  x_slots : int array;
+  x_values : int array;
+}
+
+let unresolved =
+  { x_index = -1; x_read_opnds = [||]; x_write_opnds = [||]; x_read_regs = [];
+    x_write_regs = []; x_read_flags = 0; x_set_flags = 0; x_mem = false;
+    x_units = 0; x_slots = [||]; x_values = [||] }
+
 type template = {
   t_name : string;  (* mnemonic, unique within the machine *)
   t_sem : sem;
@@ -65,6 +85,7 @@ type template = {
   t_fields : field_setting list;  (* control-word encoding *)
   t_actions : Rtl.action list;
   t_extra_cycles : int;  (* stall cycles beyond the base microcycle *)
+  t_facts : facts;  (* set by [make]; read them through [facts] *)
 }
 
 (* Branch conditions.  Machines declare which capability groups their
@@ -87,7 +108,9 @@ type t = {
   d_phases : int;  (* phases per microcycle; 1 = monophase *)
   d_regs : reg array;
   d_units : string list;
-  d_fields : field list;
+  d_fields : field array;
+  d_word_bits : int;  (* the highest field bit + 1 *)
+  d_seq_slots : int array;  (* indices of [seq_fields] in d_fields, or -1 *)
   d_templates : template array;
   d_cond_caps : cond_cap list;
   d_mem_extra_cycles : int;
@@ -102,7 +125,9 @@ type t = {
   t_by_name : (string, template) Hashtbl.t;
 }
 
-let word_bits t = List.fold_left (fun acc f -> acc + f.f_width) 0 t.d_fields
+(* The sequencing fields every description reserves by convention, in
+   the order of [d_seq_slots]; Encode documents their values. *)
+let seq_fields = [| "seq"; "cond"; "addr"; "breg"; "mask"; "dspec" |]
 
 let regs t = Array.to_list t.d_regs
 let templates t = Array.to_list t.d_templates
@@ -172,10 +197,12 @@ let validate t =
       names
   in
   check_dups "register" (List.map (fun r -> r.r_name) (Array.to_list t.d_regs));
-  check_dups "field" (List.map (fun f -> f.f_name) t.d_fields);
+  let fields = Array.to_list t.d_fields in
+  check_dups "field" (List.map (fun f -> f.f_name) fields);
   check_dups "template"
     (List.map (fun tm -> tm.t_name) (Array.to_list t.d_templates));
   check_dups "unit" t.d_units;
+  if List.length t.d_units > 62 then fail "more than 62 functional units";
   (* every field must fit the control word: sane offset, nonzero width,
      and no wider than the 62 bits the encoder can range-check *)
   List.iter
@@ -183,10 +210,10 @@ let validate t =
       if f.f_lo < 0 then fail "field %s at negative offset %d" f.f_name f.f_lo;
       if f.f_width < 1 || f.f_width > 62 then
         fail "field %s has width %d (must be 1..62)" f.f_name f.f_width)
-    t.d_fields;
+    fields;
   (* fields must not overlap *)
   let sorted =
-    List.sort (fun a b -> compare a.f_lo b.f_lo) t.d_fields
+    List.sort (fun a b -> compare a.f_lo b.f_lo) fields
   in
   let rec check_fields = function
     | a :: (b :: _ as rest) ->
@@ -196,7 +223,7 @@ let validate t =
     | [ _ ] | [] -> ()
   in
   check_fields sorted;
-  let field_names = List.map (fun f -> f.f_name) t.d_fields in
+  let field_names = List.map (fun f -> f.f_name) fields in
   Array.iteri
     (fun i r ->
       if r.r_id <> i then fail "register %s has id %d at slot %d" r.r_name r.r_id i)
@@ -221,7 +248,7 @@ let validate t =
                 fs.fs_field i
           | Fv_const v ->
               let f =
-                List.find (fun f -> f.f_name = fs.fs_field) t.d_fields
+                List.find (fun f -> f.f_name = fs.fs_field) fields
               in
               if v < 0 || (f.f_width < 62 && v lsr f.f_width <> 0) then
                 fail "template %s: value %d does not fit field %s (%d bits)"
@@ -275,6 +302,55 @@ let validate t =
     t.d_templates;
   t
 
+let field_slot fields name =
+  Option.value ~default:(-1) (Array.find_index (fun f -> f.f_name = name) fields)
+
+(* A template's facts for machine [t], from its RTL and names; [t] has
+   validated, so every field, unit and register the template names
+   exists. *)
+let derive t index tm =
+  let acts = tm.t_actions in
+  let opnds keep =
+    Array.of_list
+      (List.filter
+         (fun i -> keep tm.t_operands.(i).o_role)
+         (List.init (Array.length tm.t_operands) Fun.id))
+  in
+  let ids of_action =
+    List.concat_map of_action acts
+    |> List.map (fun n -> (get_reg t n).r_id)
+    |> List.sort_uniq compare
+  in
+  let mask bit l = List.fold_left (fun m x -> m lor (1 lsl bit x)) 0 l in
+  let flags of_action = mask Rtl.flag_index (List.concat_map of_action acts) in
+  let unit u = Option.get (List.find_index (String.equal u) t.d_units) in
+  let settings f = Array.of_list (List.map f tm.t_fields) in
+  {
+    x_index = index;
+    x_read_opnds = opnds (fun r -> r <> Write);
+    x_write_opnds = opnds (fun r -> r <> Read);
+    x_read_regs = ids Rtl.action_reads;
+    x_write_regs = ids (fun a -> fst (Rtl.action_writes a));
+    x_read_flags = flags Rtl.action_reads_flags;
+    x_set_flags = flags Rtl.action_sets_flags;
+    x_mem = List.exists Rtl.action_touches_memory acts;
+    x_units = mask unit tm.t_units;
+    x_slots = settings (fun fs -> field_slot t.d_fields fs.fs_field);
+    x_values =
+      settings (fun fs ->
+          match fs.fs_value with Fv_const c -> c | Fv_opnd i -> -1 - i);
+  }
+
+let facts t tm =
+  let i = tm.t_facts.x_index in
+  if i >= 0 && i < Array.length t.d_templates && t.d_templates.(i) == tm then
+    tm.t_facts
+  else
+    invalid_arg
+      (Printf.sprintf "%s: template %s is not this machine's" t.d_name tm.t_name)
+
+let template_index t tm = (facts t tm).x_index
+
 let make ~name ~word ~addr ~phases ~regs ~units ~fields ~templates ~cond_caps
     ~mem_extra_cycles ~store_words ~vertical ~scratch_base ~note () =
   let d_regs = Array.of_list regs in
@@ -292,41 +368,58 @@ let make ~name ~word ~addr ~phases ~regs ~units ~fields ~templates ~cond_caps
         r.r_classes)
     d_regs;
   let d_templates = Array.of_list templates in
-  let t_by_name = Hashtbl.create 64 in
-  Array.iter (fun tm -> Hashtbl.replace t_by_name tm.t_name tm) d_templates;
   (* Taken once here so that anything persisted against a description
      (the service's disk cache) can tell an edited machine from the
-     one it was written for. *)
+     one it was written for.  A template's other fields, as a tuple,
+     marshal exactly as the record did before it had facts. *)
+  let plain tm =
+    ( tm.t_name, tm.t_sem, tm.t_operands, tm.t_result, tm.t_phase, tm.t_units,
+      tm.t_fields, tm.t_actions, tm.t_extra_cycles )
+  in
   let d_digest =
     Digest.to_hex
       (Digest.string
          (Marshal.to_string
-            ( (name, word, addr, phases, d_regs, units, fields, d_templates),
+            ( (name, word, addr, phases, d_regs, units, fields,
+               Array.map plain d_templates),
               (cond_caps, mem_extra_cycles, store_words, vertical, scratch_base,
                note) )
             []))
   in
-  validate
-    {
-      d_name = name;
-      d_word = word;
-      d_addr = addr;
-      d_phases = phases;
-      d_regs;
-      d_units = units;
-      d_fields = fields;
-      d_templates;
-      d_cond_caps = cond_caps;
-      d_mem_extra_cycles = mem_extra_cycles;
-      d_store_words = store_words;
-      d_vertical = vertical;
-      d_scratch_base = scratch_base;
-      d_note = note;
-      d_digest;
-      by_name;
-      by_class;
-      t_by_name;
-    }
+  let d_fields = Array.of_list fields in
+  let t =
+    validate
+      {
+        d_name = name;
+        d_word = word;
+        d_addr = addr;
+        d_phases = phases;
+        d_regs;
+        d_units = units;
+        d_fields;
+        d_word_bits =
+          Array.fold_left (fun m f -> max m (f.f_lo + f.f_width)) 0 d_fields;
+        d_seq_slots = Array.map (field_slot d_fields) seq_fields;
+        d_templates;
+        d_cond_caps = cond_caps;
+        d_mem_extra_cycles = mem_extra_cycles;
+        d_store_words = store_words;
+        d_vertical = vertical;
+        d_scratch_base = scratch_base;
+        d_note = note;
+        d_digest;
+        by_name;
+        by_class;
+        t_by_name = Hashtbl.create 64;
+      }
+  in
+  Array.iteri
+    (fun i tm ->
+      let tm = { tm with t_facts = derive t i tm } in
+      d_templates.(i) <- tm;
+      Hashtbl.replace t.t_by_name tm.t_name tm)
+    d_templates;
+  t
 
 (* Convenience constructors for descriptions built in OCaml (Sweeper, tests). *)
 let mkreg ?(classes = [ "gpr" ]) id name width =

@@ -59,6 +59,25 @@ type sem =
   | S_nop
   | S_special of string  (** machine-specific (push/pop/orh/addf ...) *)
 
+(** What {!make} derives once per template for its machine, read through
+    {!facts}: no consumer walks RTL or matches names per op or word. *)
+type facts = {
+  x_index : int;  (** position in [d_templates]; -1 if not resolved *)
+  x_read_opnds : int array;  (** operands with a read role *)
+  x_write_opnds : int array;  (** operands with a write role *)
+  x_read_regs : int list;  (** named registers read: sorted ids *)
+  x_write_regs : int list;  (** named registers written: sorted ids *)
+  x_read_flags : int;  (** bit {!Rtl.flag_index} per flag read *)
+  x_set_flags : int;  (** bit per flag set *)
+  x_mem : bool;  (** reads or writes main memory *)
+  x_units : int;  (** bit [i] per unit [i] of [d_units] *)
+  x_slots : int array;  (** per setting: its field's index in [d_fields] *)
+  x_values : int array;  (** per setting: the constant, or [-1 - operand] *)
+}
+
+val unresolved : facts
+(** For template records built outside {!make}. *)
+
 (** A microoperation template: one operation the machine can place in a
     microinstruction. *)
 type template = {
@@ -71,6 +90,7 @@ type template = {
   t_fields : field_setting list;  (** control-word encoding *)
   t_actions : Rtl.action list;  (** executable semantics *)
   t_extra_cycles : int;  (** stall cycles beyond the base microcycle *)
+  t_facts : facts;  (** set by {!make} *)
 }
 
 type mask_bit = Mt | Mf | Mx
@@ -95,7 +115,9 @@ type t = {
   d_phases : int;  (** phases per microcycle; 1 = monophase *)
   d_regs : reg array;
   d_units : string list;
-  d_fields : field list;
+  d_fields : field array;
+  d_word_bits : int;  (** control-word width: the highest field bit + 1 *)
+  d_seq_slots : int array;  (** indices of {!seq_fields} in [d_fields], or -1 *)
   d_templates : template array;
   d_cond_caps : cond_cap list;
   d_mem_extra_cycles : int;
@@ -104,8 +126,8 @@ type t = {
   d_scratch_base : int;  (** main-memory base reserved for spills *)
   d_note : string;
   d_digest : string;
-      (** hex digest of every field above, taken once by {!make}: two
-          descriptions with equal digests describe the same machine *)
+      (** hex digest of every field given to {!make}, taken once there:
+          two descriptions with equal digests describe the same machine *)
   by_name : (string, reg) Hashtbl.t;  (** lookup cache; use {!find_reg} *)
   by_class : (string, reg list) Hashtbl.t;  (** cache; use {!regs_of_class} *)
   t_by_name : (string, template) Hashtbl.t;  (** cache; use {!find_template} *)
@@ -137,8 +159,9 @@ val validate : t -> t
     1..62), template field/operand references that resolve, constant
     field values that fit their field, non-empty register classes
     behind every register operand, case-insensitively unique
-    register/field/template/unit names, in-range phases, and actions
-    that only write writable operands.  Returns its argument.
+    register/field/template/unit names, at most 62 units, in-range
+    phases, and actions that only write writable operands.  Returns its
+    argument.
     @raise Invalid_argument naming the violated invariant. *)
 
 (** {1 Lookups} *)
@@ -173,8 +196,18 @@ val negate_cond : cond -> cond option
     reg-zero tests negate by flipping the expected value; mask matches
     and the interrupt test have no complement ([None]). *)
 
-val word_bits : t -> int
-(** Total width of the declared control-word fields. *)
+val seq_fields : string array
+(** The sequencing fields every description reserves by convention:
+    ["seq"], ["cond"], ["addr"], ["breg"], ["mask"], ["dspec"]. *)
+
+val facts : t -> template -> facts
+(** The facts {!make} resolved for one of the machine's own templates.
+    @raise Invalid_argument when the template is not this machine's own
+    (another machine's, a hand-built record, a copy). *)
+
+val template_index : t -> template -> int
+(** The template's position in [d_templates].
+    @raise Invalid_argument when it is not this machine's own. *)
 
 (** {1 Authoring helpers} *)
 

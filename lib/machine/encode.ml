@@ -14,19 +14,9 @@ module Diag = Msl_util.Diag
 
 type word = bool array
 
-let word_bits (d : Desc.t) =
-  List.fold_left
-    (fun acc (f : Desc.field) -> max acc (f.f_lo + f.f_width))
-    0 d.Desc.d_fields
-
-let field (d : Desc.t) name =
-  match
-    List.find_opt (fun (f : Desc.field) -> f.f_name = name) d.Desc.d_fields
-  with
-  | Some f -> f
-  | None ->
-      Diag.error Diag.Assembly "machine %s has no control-word field %S"
-        d.Desc.d_name name
+(* Positions in [Desc.seq_fields] and [d_seq_slots]. *)
+let s_seq = 0 and s_cond = 1 and s_addr = 2 and s_breg = 3
+let s_mask = 4 and s_dspec = 5
 
 (* Sequencer opcode values. *)
 let seq_next = 0
@@ -38,28 +28,28 @@ let seq_return = 5
 let seq_halt = 6
 
 let cond_code = function
-  | Desc.C_flag (f, true) -> 1 + Sim.flag_index f
-  | Desc.C_flag (f, false) -> 6 + Sim.flag_index f
+  | Desc.C_flag (f, true) -> 1 + Rtl.flag_index f
+  | Desc.C_flag (f, false) -> 6 + Rtl.flag_index f
   | Desc.C_reg_zero (_, true) -> 11
   | Desc.C_reg_zero (_, false) -> 12
   | Desc.C_int_pending -> 13
   | Desc.C_reg_mask _ -> 14
 
-type writer = { w : word; mutable set_by : (string * int) list }
-
-let set_field wr (f : Desc.field) value =
+(* Write [value] into the field at [slot] of word [w]; [set] holds, per
+   field position, the value set there so far (-1: none). *)
+let set_slot (d : Desc.t) (w, set) slot value =
+  let f = d.Desc.d_fields.(slot) in
   if value < 0 || (f.f_width < 62 && value lsr f.f_width <> 0) then
     Diag.error Diag.Assembly "value %d does not fit field %s (%d bits)" value
       f.f_name f.f_width;
-  (match List.assoc_opt f.f_name wr.set_by with
-  | Some v when v <> value ->
-      Diag.error Diag.Compaction
-        "control-word field clash on %s: %d vs %d (ops cannot share this word)"
-        f.f_name v value
-  | Some _ | None -> ());
-  wr.set_by <- (f.f_name, value) :: wr.set_by;
+  let v = set.(slot) in
+  if v >= 0 && v <> value then
+    Diag.error Diag.Compaction
+      "control-word field clash on %s: %d vs %d (ops cannot share this word)"
+      f.f_name v value;
+  set.(slot) <- value;
   for i = 0 to f.f_width - 1 do
-    wr.w.(f.f_lo + i) <- (value lsr i) land 1 = 1
+    w.(f.f_lo + i) <- (value lsr i) land 1 = 1
   done
 
 (* Two bits per mask position: 0 = don't-care, 1 = must-be-0, 2 = must-be-1 *)
@@ -73,54 +63,59 @@ let mask_value mask =
   |> List.fold_left ( lor ) 0
 
 let encode_inst (d : Desc.t) (inst : Inst.t) : word =
-  let wr = { w = Array.make (word_bits d) false; set_by = [] } in
+  let nfields = Array.length d.Desc.d_fields in
+  let wr = (Array.make d.Desc.d_word_bits false, Array.make nfields (-1)) in
   List.iter
-    (fun op ->
-      List.iter
-        (fun (fname, v) -> set_field wr (field d fname) v)
-        (Inst.op_field_values op))
+    (fun (op : Inst.op) ->
+      let x = Desc.facts d op.Inst.op_t in
+      Array.iteri
+        (fun k slot -> set_slot d wr slot (Inst.setting_value x op k))
+        x.Desc.x_slots)
     inst.Inst.ops;
-  let setf name v = set_field wr (field d name) v in
+  let setf k v =
+    let slot = d.Desc.d_seq_slots.(k) in
+    if slot < 0 then
+      Diag.error Diag.Assembly "machine %s has no control-word field %S"
+        d.Desc.d_name Desc.seq_fields.(k);
+    set_slot d wr slot v
+  in
   (match inst.Inst.next with
-  | Inst.Next -> setf "seq" seq_next
+  | Inst.Next -> setf s_seq seq_next
   | Inst.Jump a ->
-      setf "seq" seq_jump;
-      setf "addr" a
+      setf s_seq seq_jump;
+      setf s_addr a
   | Inst.Branch (c, a) ->
-      setf "seq" seq_branch;
-      setf "cond" (cond_code c);
-      setf "addr" a;
+      setf s_seq seq_branch;
+      setf s_cond (cond_code c);
+      setf s_addr a;
       (match c with
-      | Desc.C_reg_zero (r, _) -> setf "breg" r
+      | Desc.C_reg_zero (r, _) -> setf s_breg r
       | Desc.C_reg_mask (r, m) ->
-          setf "breg" r;
-          setf "mask" (mask_value m)
+          setf s_breg r;
+          setf s_mask (mask_value m)
       | Desc.C_flag _ | Desc.C_int_pending -> ())
   | Inst.Dispatch { dreg; hi; lo; base } ->
-      setf "seq" seq_dispatch;
-      setf "breg" dreg;
-      setf "addr" base;
-      setf "dspec" ((hi lsl 6) lor lo)
+      setf s_seq seq_dispatch;
+      setf s_breg dreg;
+      setf s_addr base;
+      setf s_dspec ((hi lsl 6) lor lo)
   | Inst.Call a ->
-      setf "seq" seq_call;
-      setf "addr" a
-  | Inst.Return -> setf "seq" seq_return
-  | Inst.Halt -> setf "seq" seq_halt);
-  wr.w
+      setf s_seq seq_call;
+      setf s_addr a
+  | Inst.Return -> setf s_seq seq_return
+  | Inst.Halt -> setf s_seq seq_halt);
+  fst wr
 
 (* Bits of control store a program occupies: the survey's horizontal-vs-
    vertical space comparison (T7). *)
-let program_bits d insts = List.length insts * word_bits d
+let program_bits (d : Desc.t) insts = List.length insts * d.Desc.d_word_bits
 
-let decode_fields (d : Desc.t) (w : word) : (string * int) list =
-  List.map
-    (fun (f : Desc.field) ->
-      let v = ref 0 in
-      for i = f.f_width - 1 downto 0 do
-        v := (!v lsl 1) lor (if w.(f.f_lo + i) then 1 else 0)
-      done;
-      (f.f_name, !v))
-    d.Desc.d_fields
+let read_field (w : word) (f : Desc.field) =
+  let v = ref 0 in
+  for i = f.f_width - 1 downto 0 do
+    v := (!v lsl 1) lor if w.(f.f_lo + i) then 1 else 0
+  done;
+  !v
 
 let word_to_hex (w : word) =
   let nibbles = (Array.length w + 3) / 4 in
@@ -141,84 +136,69 @@ let word_to_hex (w : word) =
    without constant fields (nop) are not decodable and are skipped: an
    all-zero operation section reads back as "no operations". *)
 let decode_ops (d : Desc.t) (w : word) : Inst.op list =
-  let fields = decode_fields d w in
-  let const_sets tm =
-    List.filter_map
-      (fun (fs : Desc.field_setting) ->
-        match fs.fs_value with
-        | Desc.Fv_const v -> Some (fs.fs_field, v)
-        | Desc.Fv_opnd _ -> None)
-      tm.Desc.t_fields
-  in
+  let read slot = read_field w d.Desc.d_fields.(slot) in
   let candidates =
     Desc.templates d
-    |> List.filter_map (fun tm ->
-           let consts = const_sets tm in
-           if consts = [] then None
-           else if
-             List.for_all (fun (f, v) -> List.assoc f fields = v) consts
-           then Some (tm, List.map fst consts)
-           else None)
+    |> List.filter_map (fun (tm : Desc.template) ->
+           let x = tm.Desc.t_facts in
+           let consts = ref [] and matched = ref true in
+           Array.iteri
+             (fun k v ->
+               if v >= 0 then begin
+                 consts := x.Desc.x_slots.(k) :: !consts;
+                 if read x.Desc.x_slots.(k) <> v then matched := false
+               end)
+             x.Desc.x_values;
+           if !consts <> [] && !matched then Some (tm, x, !consts) else None)
   in
   let survivors =
     List.filter
-      (fun (_, cf) ->
+      (fun (_, _, cf) ->
         not
           (List.exists
-             (fun (_, cf') ->
+             (fun (_, _, cf') ->
                List.length cf < List.length cf'
                && List.for_all (fun f -> List.mem f cf') cf)
              candidates))
       candidates
   in
   List.filter_map
-    (fun ((tm : Desc.template), _) ->
-      let args =
-        Array.to_list
-          (Array.mapi
-             (fun i (spec : Desc.operand_spec) ->
-               let v =
-                 List.find_map
-                   (fun (fs : Desc.field_setting) ->
-                     match fs.fs_value with
-                     | Desc.Fv_opnd j when j = i ->
-                         Some (List.assoc fs.fs_field fields)
-                     | _ -> None)
-                   tm.Desc.t_fields
-               in
-               match (v, spec.o_kind) with
-               | Some r, Desc.O_reg _ -> Some (Inst.A_reg r)
-               | Some n, Desc.O_imm width ->
-                   Some (Inst.A_imm (Bitvec.of_int ~width n))
-               | None, _ -> None)
-             tm.Desc.t_operands)
+    (fun ((tm : Desc.template), (x : Desc.facts), _) ->
+      let arg i (spec : Desc.operand_spec) =
+        match Array.find_index (fun v -> v = -1 - i) x.Desc.x_values with
+        | None -> raise Exit
+        | Some k -> (
+            let n = read x.Desc.x_slots.(k) in
+            match spec.o_kind with
+            | Desc.O_reg _ -> Inst.A_reg n
+            | Desc.O_imm width -> Inst.A_imm (Bitvec.of_int ~width n))
       in
-      if List.exists (fun a -> a = None) args then None
-      else
-        match
-          Inst.make d tm.Desc.t_name (List.map Option.get args)
-        with
-        | op -> Some op
-        | exception Invalid_argument _ -> None)
+      match
+        Inst.make d tm.Desc.t_name
+          (Array.to_list (Array.mapi arg tm.Desc.t_operands))
+      with
+      | op -> Some op
+      | exception (Exit | Invalid_argument _) -> None)
     survivors
 
 let decode_next (d : Desc.t) (w : word) : Inst.next =
-  let fields = decode_fields d w in
-  let f name = List.assoc_opt name fields in
-  let addr = match f "addr" with Some a -> a | None -> 0 in
-  let breg = match f "breg" with Some r -> r | None -> 0 in
-  let seq = match f "seq" with Some s -> s | None -> 0 in
+  let f k =
+    match d.Desc.d_seq_slots.(k) with
+    | -1 -> 0
+    | slot -> read_field w d.Desc.d_fields.(slot)
+  in
+  let addr = f s_addr and breg = f s_breg and seq = f s_seq in
   if seq = seq_next then Inst.Next
   else if seq = seq_jump then Inst.Jump addr
   else if seq = seq_call then Inst.Call addr
   else if seq = seq_return then Inst.Return
   else if seq = seq_halt then Inst.Halt
   else if seq = seq_dispatch then
-    let dspec = match f "dspec" with Some v -> v | None -> 0 in
+    let dspec = f s_dspec in
     Inst.Dispatch
       { dreg = breg; hi = dspec lsr 6; lo = dspec land 0x3F; base = addr }
   else if seq = seq_branch then begin
-    let code = match f "cond" with Some c -> c | None -> 0 in
+    let code = f s_cond in
     let cond =
       if code >= 1 && code <= 5 then
         let flag = List.nth Rtl.all_flags (code - 1) in
@@ -230,14 +210,11 @@ let decode_next (d : Desc.t) (w : word) : Inst.next =
       else if code = 12 then Desc.C_reg_zero (breg, false)
       else if code = 13 then Desc.C_int_pending
       else if code = 14 then begin
-        let mval = match f "mask" with Some m -> m | None -> 0 in
+        let mval = f s_mask in
         let nbits =
-          match
-            List.find_opt (fun (fd : Desc.field) -> fd.f_name = "mask")
-              d.Desc.d_fields
-          with
-          | Some fd -> fd.f_width / 2
-          | None -> 0
+          match d.Desc.d_seq_slots.(s_mask) with
+          | -1 -> 0
+          | slot -> d.Desc.d_fields.(slot).f_width / 2
         in
         let mask =
           Array.init nbits (fun i ->

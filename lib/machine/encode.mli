@@ -1,19 +1,12 @@
 (** Binary encoding of microinstructions into control words.
 
-    Descriptions reserve sequencing fields by convention — ["seq"],
-    ["cond"], ["addr"], ["breg"], plus optional ["mask"] and ["dspec"] —
-    and each template contributes its own field settings.  Encoding fails
-    on a field clash, making the encoder an independent check of the
-    conflict model.  Control words may exceed 64 bits, so a word is a
-    [bool array] with bit 0 the LSB. *)
+    Descriptions reserve sequencing fields by convention
+    ({!Desc.seq_fields}) and each template contributes its own field
+    settings.  Encoding fails on a field clash, making the encoder an
+    independent check of the conflict model.  Control words may exceed
+    64 bits, so a word is a [bool array] with bit 0 the LSB. *)
 
 type word = bool array
-
-val word_bits : Desc.t -> int
-(** Width of the machine's control word. *)
-
-val field : Desc.t -> string -> Desc.field
-(** @raise Msl_util.Diag.Error when the field does not exist. *)
 
 val seq_halt : int
 (** The halt opcode of the ["seq"] field. *)
@@ -24,7 +17,8 @@ val encode_inst : Desc.t -> Inst.t -> word
 val program_bits : Desc.t -> Inst.t list -> int
 (** Control-store bits the program occupies (experiment T7). *)
 
-val decode_fields : Desc.t -> word -> (string * int) list
+val read_field : word -> Desc.field -> int
+(** The value a word holds in one field: what the disassembler reads. *)
 
 val word_to_hex : word -> string
 

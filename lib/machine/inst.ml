@@ -56,74 +56,55 @@ let make d tname args =
 
 (* -- static accessors used by hazard/conflict analysis ------------------ *)
 
-let arg_reg = function A_reg r -> Some r | A_imm _ -> None
+(* Register ids, sorted and without duplicates: [named] plus the register
+   arguments at the operand positions [opnds]. *)
+let rec insert (r : int) = function
+  | [] -> [ r ]
+  | x :: rest as l ->
+      if r < x then r :: l else if r = x then l else x :: insert r rest
+
+(* The first id that sorted lists [a] and [b] share, or -1. *)
+let rec first_common (a : int list) b =
+  match (a, b) with
+  | x :: a', y :: b' ->
+      if x = y then x else if x < y then first_common a' b else first_common a b'
+  | [], _ | _, [] -> -1
+
+let regs opnds named args =
+  Array.fold_left
+    (fun acc i ->
+      if i >= Array.length args then acc
+      else match args.(i) with A_reg r -> insert r acc | A_imm _ -> acc)
+    named opnds
 
 (* Registers read by the op: read-role operands plus named registers in the
    RTL actions. *)
 let op_reads d op =
-  let operand_reads =
-    Array.to_list op.op_args
-    |> List.filteri (fun i _ ->
-           match op.op_t.Desc.t_operands.(i).o_role with
-           | Desc.Read | Desc.Read_write -> true
-           | Desc.Write -> false)
-    |> List.filter_map arg_reg
-  in
-  let action_reads =
-    List.concat_map Rtl.action_reads op.op_t.Desc.t_actions
-    |> List.map (fun name -> (Desc.get_reg d name).Desc.r_id)
-  in
-  List.sort_uniq compare (operand_reads @ action_reads)
+  let x = Desc.facts d op.op_t in
+  regs x.Desc.x_read_opnds x.Desc.x_read_regs op.op_args
 
 let op_writes d op =
-  let operand_writes =
-    Array.to_list op.op_args
-    |> List.filteri (fun i _ ->
-           match op.op_t.Desc.t_operands.(i).o_role with
-           | Desc.Write | Desc.Read_write -> true
-           | Desc.Read -> false)
-    |> List.filter_map arg_reg
-  in
-  let action_writes =
-    List.concat_map
-      (fun a -> fst (Rtl.action_writes a))
-      op.op_t.Desc.t_actions
-    |> List.map (fun name -> (Desc.get_reg d name).Desc.r_id)
-  in
-  List.sort_uniq compare (operand_writes @ action_writes)
+  let x = Desc.facts d op.op_t in
+  regs x.Desc.x_write_opnds x.Desc.x_write_regs op.op_args
 
-let op_sets_flags op =
-  List.concat_map Rtl.action_sets_flags op.op_t.Desc.t_actions
-  |> List.sort_uniq compare
+(* Literally identical instances: the same template with the same
+   arguments.  A machine holds each of its templates once. *)
+let identical o1 o2 = o1.op_t == o2.op_t && o1.op_args = o2.op_args
 
-let op_reads_flags op =
-  List.concat_map Rtl.action_reads_flags op.op_t.Desc.t_actions
-  |> List.sort_uniq compare
-
-let op_touches_memory op =
-  List.exists Rtl.action_touches_memory op.op_t.Desc.t_actions
-
-let op_units op = op.op_t.Desc.t_units
+(* What the [k]th field setting of the op's template (facts [x]) puts in
+   its field: register operands encode as their id, immediates as their
+   value. *)
+let setting_value (x : Desc.facts) op k =
+  let v = x.Desc.x_values.(k) in
+  if v >= 0 then v
+  else
+    match op.op_args.(-1 - v) with
+    | A_reg r -> r
+    | A_imm b -> Int64.to_int (Bitvec.to_int64 b)
 
 let op_phase op = op.op_t.Desc.t_phase
 
 let op_extra_cycles op = op.op_t.Desc.t_extra_cycles
-
-(* Resolved control-word field settings: (field name, value).  Register
-   operands encode as their register id, immediates as their value. *)
-let op_field_values op =
-  List.map
-    (fun (fs : Desc.field_setting) ->
-      let v =
-        match fs.fs_value with
-        | Desc.Fv_const c -> c
-        | Desc.Fv_opnd i -> (
-            match op.op_args.(i) with
-            | A_reg r -> r
-            | A_imm b -> Int64.to_int (Bitvec.to_int64 b))
-      in
-      (fs.fs_field, v))
-    op.op_t.Desc.t_fields
 
 (* -- microinstruction-level accessors ------------------------------------ *)
 

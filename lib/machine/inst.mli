@@ -35,15 +35,19 @@ val op_reads : Desc.t -> op -> int list
     actions; sorted, without duplicates. *)
 
 val op_writes : Desc.t -> op -> int list
-val op_sets_flags : op -> Rtl.flag list
-val op_reads_flags : op -> Rtl.flag list
-val op_touches_memory : op -> bool
-val op_units : op -> string list
 val op_phase : op -> int
 
-val op_field_values : op -> (string * int) list
-(** Resolved control-word settings: register operands encode as their id,
-    immediates as their value. *)
+val first_common : int list -> int list -> int
+(** The first id two sorted lists share, or [-1]. *)
+
+val identical : op -> op -> bool
+(** The same template (physically: one machine's own) applied to the
+    same arguments. *)
+
+val setting_value : Desc.facts -> op -> int -> int
+(** [setting_value (Desc.facts d op.op_t) op k]: what the template's
+    [k]th field setting puts in its field.  Register operands encode as
+    their id, immediates as their value. *)
 
 val inst_extra_cycles : t -> int
 (** Largest stall among the instruction's ops. *)

@@ -666,6 +666,7 @@ let parse_template p st =
       t_fields = List.rev !encs;
       t_actions = List.rev !acts;
       t_extra_cycles = !extra;
+      t_facts = Desc.unresolved;
     }
   in
   (* Role discipline: actions may only write writable operands.  Checked
@@ -950,7 +951,7 @@ let to_source (d : Desc.t) =
     (String.concat " " (List.map cap_name d.d_cond_caps));
   bprintf buf "  units [%s]\n" (String.concat " " d.d_units);
   bprintf buf "\n";
-  List.iter
+  Array.iter
     (fun (f : Desc.field) ->
       bprintf buf "  field %-8s %2d %3d\n" f.f_name f.f_width f.f_lo)
     d.d_fields;

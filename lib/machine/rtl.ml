@@ -17,6 +17,9 @@ let all_flags = [ C; V; Z; N; U ]
 
 let flag_name = function C -> "C" | V -> "V" | Z -> "Z" | N -> "N" | U -> "U"
 
+(* A flag's position in [all_flags]: its bit in a flag mask. *)
+let flag_index = function C -> 0 | V -> 1 | Z -> 2 | N -> 3 | U -> 4
+
 (* Flag-setting binary operators.  These are the operators a real ALU/shifter
    implements; pure expression operators live in [expr]. *)
 type abinop =

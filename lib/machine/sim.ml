@@ -73,6 +73,7 @@ type t = {
   mutable traps_taken : int;
 }
 
+(* [Rtl.flag_index], copied so that the dev build inlines it here. *)
 let flag_index = function Rtl.C -> 0 | Rtl.V -> 1 | Rtl.Z -> 2 | Rtl.N -> 3 | Rtl.U -> 4
 
 (* Main-memory size in words, and the cycles one serviced page fault

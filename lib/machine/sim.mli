@@ -33,9 +33,6 @@ type counters = {
   mutable halted : bool;
 }
 
-val flag_index : Rtl.flag -> int
-(** Stable numbering of the five condition flags (used by the encoder). *)
-
 val create : ?trap_mode:trap_mode -> Desc.t -> t
 (** Fresh machine state: registers zero, 4096 words of main memory with
     every page present.  [trap_mode] defaults to [Fault_is_error]. *)

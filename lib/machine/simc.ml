@@ -306,7 +306,7 @@ let rec compile_expr (d : Desc.t) (src : int array) (src_hi : int array)
   | Rtl.Reg name -> read_reg (Desc.get_reg d name).Desc.r_id
   | Rtl.Const v -> const_value v
   | Rtl.Flag f ->
-      let i = Sim.flag_index f in
+      let i = Rtl.flag_index f in
       mk 1 (fun () -> if flags.(i) then 1 else 0) None
   | Rtl.Add (a, b) ->
       let a = ce a and b = ce b in
@@ -481,7 +481,7 @@ let compile_cond e (c : Desc.cond) : unit -> bool =
   let flags = Sim.Engine.flags s in
   match c with
   | Desc.C_flag (f, v) ->
-      let i = Sim.flag_index f in
+      let i = Rtl.flag_index f in
       fun () -> flags.(i) = v
   | Desc.C_reg_zero (r, v) ->
       if reg_width (Sim.desc s) r <= 62 then fun () -> (ints.(r) = 0) = v
@@ -938,7 +938,7 @@ let compile_action e (args : Inst.arg array) (a : Rtl.action)
         | None -> fun () -> Memory.write mem aa.(ai) (to_bv ())
         | Some wb -> fun () -> push_mem wb aa.(ai) (to_bv ())))
   | Rtl.Set_flag (f, ex) -> (
-      let i = Sim.flag_index f in
+      let i = Rtl.flag_index f in
       let v = ce ex in
       let fe = v.lo in
       match buf with
@@ -976,8 +976,8 @@ let direct_ok d (acts : (Inst.arg array * Rtl.action) list) =
           ids_of d args (Rtl.action_reads a) (Rtl.action_read_opnds a)
         in
         let writes = ids_of d args wr_names wr_opnds in
-        let rflags = List.map Sim.flag_index (Rtl.action_reads_flags a) in
-        let wflags = List.map Sim.flag_index (Rtl.action_sets_flags a) in
+        let rflags = List.map Rtl.flag_index (Rtl.action_reads_flags a) in
+        let wflags = List.map Rtl.flag_index (Rtl.action_sets_flags a) in
         (bad_dest, Rtl.action_touches_memory a, reads, writes, rflags, wflags))
       acts
   in
@@ -1058,7 +1058,7 @@ let compile_seq e i (n : Inst.next) =
            inner branches) pays no condition-closure call. *)
         match c with
         | Desc.C_flag (f, v) ->
-            let fi = Sim.flag_index f in
+            let fi = Rtl.flag_index f in
             let flags = Sim.Engine.flags s in
             fun () ->
               let t = if flags.(fi) = v then a else i + 1 in
@@ -1151,7 +1151,8 @@ let compile_native e i (inst : Inst.t) =
          (Array.to_list (Inst.ops_by_phase (Sim.desc s) inst.Inst.ops)))
   in
   let extra = 1 + Inst.inst_extra_cycles inst in
-  let touches_mem = List.exists Inst.op_touches_memory inst.Inst.ops in
+  let mem (op : Inst.op) = (Desc.facts (Sim.desc s) op.Inst.op_t).Desc.x_mem in
+  let touches_mem = List.exists mem inst.Inst.ops in
   (* a statically-known in-range successor (fallthrough or unconditional
      jump): the pc update and next-slot store are inlined into the word
      closure itself, eliminating the sequencing call on straight-line

@@ -83,19 +83,13 @@ let abinop_index = function
   | Rtl.A_or -> 4 | Rtl.A_xor -> 5 | Rtl.A_mul -> 6 | Rtl.A_shl -> 7
   | Rtl.A_shr -> 8 | Rtl.A_sra -> 9 | Rtl.A_rol -> 10 | Rtl.A_ror -> 11
 
-let flag_index = function
-  | Rtl.C -> 0 | Rtl.V -> 1 | Rtl.Z -> 2 | Rtl.N -> 3 | Rtl.U -> 4
-
-let flag_of_index = function
-  | 0 -> Rtl.C | 1 -> Rtl.V | 2 -> Rtl.Z | 3 -> Rtl.N | _ -> Rtl.U
-
 (* node tags for keys *)
 let t_add = 0 and t_sub = 1 and t_and = 2 and t_or = 3 and t_xor = 4
 and t_mul = 5 and t_not = 6 and t_concat = 7 and t_mux = 8
 and t_store = 9 and t_sel = 10
 
 let t_alu op = 20 + abinop_index op
-let t_aluf fl op = 40 + (flag_index fl * 12) + abinop_index op
+let t_aluf fl op = 40 + (Rtl.flag_index fl * 12) + abinop_index op
 
 (* -- smart constructors -------------------------------------------------- *)
 
@@ -264,54 +258,50 @@ let alu ctx op a b ~carry =
 
 let is_zero_term ctx r = mux ctx r (false_ ctx) (true_ ctx)
 
-(* One condition flag of [op a b], mirroring [Rtl.eval_abinop] +
-   [Bitvec.flags_of]: Z and N are functions of the result alone; the ops
-   whose flag base is [no_flags] pin C/V/U to false; shl/shr report the
-   same shifted-out bit in both C and U, so C canonicalizes onto U.  Only
-   adc reads the carry-in, so only adc needs it constant to fold. *)
-let alu_flag ctx fl op a b ~carry =
+(* The flags of [op a b] when its operands (and, for adc, its carry-in:
+   only adc reads it) are constant: one run of the concrete ALU. *)
+let const_flags op a b ~carry =
   chk "alu_flag" a b;
   match (as_const a, as_const b, as_const carry) with
   | Some x, Some y, c when op <> Rtl.A_adc || Option.is_some c ->
       let carry_in = Option.fold ~none:false ~some:Bitvec.lsb c in
-      let _, f = Rtl.eval_abinop op x y ~carry_in in
-      const ctx
-        (Bitvec.of_bool
-           (match fl with
-           | Rtl.C -> f.Bitvec.carry
-           | Rtl.V -> f.Bitvec.overflow
-           | Rtl.Z -> f.Bitvec.zero
-           | Rtl.N -> f.Bitvec.negative
-           | Rtl.U -> f.Bitvec.shifted_out))
-  | _ -> (
-      match fl with
-      | Rtl.Z -> is_zero_term ctx (alu ctx op a b ~carry)
-      | Rtl.N ->
-          let r = alu ctx op a b ~carry in
-          slice ctx r ~hi:(r.width - 1) ~lo:(r.width - 1)
-      | Rtl.C | Rtl.V | Rtl.U -> (
-          match op with
-          | Rtl.A_and | Rtl.A_or | Rtl.A_xor | Rtl.A_sra | Rtl.A_rol
-          | Rtl.A_ror ->
-              false_ ctx
-          | Rtl.A_add | Rtl.A_sub | Rtl.A_mul | Rtl.A_adc ->
-              if fl = Rtl.U then false_ ctx
-              else
-                let carry =
-                  if op = Rtl.A_adc then carry else false_ ctx
-                in
-                mk ctx ~width:1
-                  ~has_mem:(a.has_mem || b.has_mem || carry.has_mem)
-                  (Alu_flag (fl, op, a, b, carry))
-                  (K3 (t_aluf fl op, a.id, b.id, carry.id))
-          | Rtl.A_shl | Rtl.A_shr ->
-              if fl = Rtl.V then false_ ctx
-              else
-                (* C = U = the shifted-out bit *)
-                let fl = Rtl.U in
-                mk ctx ~width:1 ~has_mem:(a.has_mem || b.has_mem)
-                  (Alu_flag (fl, op, a, b, false_ ctx))
-                  (K3 (t_aluf fl op, a.id, b.id, (false_ ctx).id))))
+      Some (snd (Rtl.eval_abinop op x y ~carry_in))
+  | _ -> None
+
+(* One condition flag of [op a b] with operands [const_flags] cannot
+   fold, mirroring [Rtl.eval_abinop] + [Bitvec.flags_of]: Z and N are
+   functions of the result alone; the ops whose flag base is [no_flags]
+   pin C/V/U to false; shl/shr report the same shifted-out bit in both C
+   and U, so C canonicalizes onto U. *)
+let alu_flag ctx fl op a b ~carry =
+  match fl with
+  | Rtl.Z -> is_zero_term ctx (alu ctx op a b ~carry)
+  | Rtl.N ->
+      let r = alu ctx op a b ~carry in
+      slice ctx r ~hi:(r.width - 1) ~lo:(r.width - 1)
+  | Rtl.C | Rtl.V | Rtl.U -> (
+      match op with
+      | Rtl.A_and | Rtl.A_or | Rtl.A_xor | Rtl.A_sra | Rtl.A_rol
+      | Rtl.A_ror ->
+          false_ ctx
+      | Rtl.A_add | Rtl.A_sub | Rtl.A_mul | Rtl.A_adc ->
+          if fl = Rtl.U then false_ ctx
+          else
+            let carry =
+              if op = Rtl.A_adc then carry else false_ ctx
+            in
+            mk ctx ~width:1
+              ~has_mem:(a.has_mem || b.has_mem || carry.has_mem)
+              (Alu_flag (fl, op, a, b, carry))
+              (K3 (t_aluf fl op, a.id, b.id, carry.id))
+      | Rtl.A_shl | Rtl.A_shr ->
+          if fl = Rtl.V then false_ ctx
+          else
+            (* C = U = the shifted-out bit *)
+            let fl = Rtl.U in
+            mk ctx ~width:1 ~has_mem:(a.has_mem || b.has_mem)
+              (Alu_flag (fl, op, a, b, false_ ctx))
+              (K3 (t_aluf fl op, a.id, b.id, (false_ ctx).id)))
 
 (* -- memory terms --------------------------------------------------------- *)
 
@@ -582,10 +572,10 @@ let reg ctx (d : Desc.t) s i =
 
 let flag_at ctx s i =
   if s.st_flags.(i) == unset then
-    s.st_flags.(i) <- input ctx s (flag_var_name (flag_of_index i)) 1;
+    s.st_flags.(i) <- input ctx s (flag_var_name (List.nth Rtl.all_flags i)) 1;
   s.st_flags.(i)
 
-let flag ctx s f = flag_at ctx s (flag_index f)
+let flag ctx s f = flag_at ctx s (Rtl.flag_index f)
 let acks s = s.st_acks
 
 let init_store ctx (d : Desc.t) =
@@ -694,14 +684,21 @@ let exec_phase ctx (d : Desc.t) (s : store) ops =
   let wb_ack = ref false in
   (* only adc reads the live C flag, so no other op materialises it *)
   let carry_in op2 = if op2 = Rtl.A_adc then flag_at ctx s 0 else false_ ctx in
+  (* the five flags, made in index order C V Z N U *)
   let buffer_flags op v1 v2 cin =
-    wb_flags :=
-      (4, alu_flag ctx Rtl.U op v1 v2 ~carry:cin)
-      :: (3, alu_flag ctx Rtl.N op v1 v2 ~carry:cin)
-      :: (2, alu_flag ctx Rtl.Z op v1 v2 ~carry:cin)
-      :: (1, alu_flag ctx Rtl.V op v1 v2 ~carry:cin)
-      :: (0, alu_flag ctx Rtl.C op v1 v2 ~carry:cin)
-      :: !wb_flags
+    let push fl t = wb_flags := (Rtl.flag_index fl, t) :: !wb_flags in
+    match const_flags op v1 v2 ~carry:cin with
+    | Some f ->
+        let bit b = const ctx (Bitvec.of_bool b) in
+        push Rtl.C (bit f.Bitvec.carry);
+        push Rtl.V (bit f.Bitvec.overflow);
+        push Rtl.Z (bit f.Bitvec.zero);
+        push Rtl.N (bit f.Bitvec.negative);
+        push Rtl.U (bit f.Bitvec.shifted_out)
+    | None ->
+        List.iter
+          (fun fl -> push fl (alu_flag ctx fl op v1 v2 ~carry:cin))
+          Rtl.all_flags
   in
   List.iter
     (fun (op : Inst.op) ->
@@ -742,7 +739,7 @@ let exec_phase ctx (d : Desc.t) (s : store) ops =
               wb_mem := (a, ev value) :: !wb_mem
           | Rtl.Set_flag (f, e) ->
               let v = ev e in
-              wb_flags := (flag_index f, slice ctx v ~hi:0 ~lo:0) :: !wb_flags
+              wb_flags := (Rtl.flag_index f, slice ctx v ~hi:0 ~lo:0) :: !wb_flags
           | Rtl.Int_ack -> wb_ack := true)
         op.Inst.op_t.Desc.t_actions)
     ops;

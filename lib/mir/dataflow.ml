@@ -23,33 +23,38 @@ let inter a b = List.exists (fun x -> List.mem x b) a
 type op_info = {
   i_reads : int list;
   i_writes : int list;
-  i_freads : Rtl.flag list;
-  i_fwrites : Rtl.flag list;
+  i_freads : int;
+  i_fwrites : int;
   i_mem : bool;
   i_phase : int;
 }
 
-let op_info d op =
+let op_info d (op : Inst.op) =
+  let x = Desc.facts d op.Inst.op_t in
   {
     i_reads = Inst.op_reads d op;
     i_writes = Inst.op_writes d op;
-    i_freads = Inst.op_reads_flags op;
-    i_fwrites = Inst.op_sets_flags op;
-    i_mem = Inst.op_touches_memory op;
-    i_phase = Inst.op_phase op;
+    i_freads = x.Desc.x_read_flags;
+    i_fwrites = x.Desc.x_set_flags;
+    i_mem = x.Desc.x_mem;
+    i_phase = op.Inst.op_t.Desc.t_phase;
   }
+
+(* Do two sorted register lists share an element? *)
+let meets a b = Inst.first_common a b >= 0
 
 (* Dependence edges between ops [i] and [j] with i < j in source order. *)
 let pair_edges infos i j =
   let a = infos.(i) and b = infos.(j) in
   let e kind = { e_src = i; e_dst = j; e_kind = kind } in
   let acc = if a.i_mem && b.i_mem then [ e Mem ] else [] in
-  let acc = if inter a.i_writes b.i_reads then e Raw :: acc else acc in
-  let acc = if inter a.i_reads b.i_writes then e War :: acc else acc in
-  let acc = if inter a.i_writes b.i_writes then e Waw :: acc else acc in
-  let acc = if inter a.i_fwrites b.i_freads then e Flag_raw :: acc else acc in
-  let acc = if inter a.i_freads b.i_fwrites then e Flag_war :: acc else acc in
-  let acc = if inter a.i_fwrites b.i_fwrites then e Flag_waw :: acc else acc in
+  let acc = if meets a.i_writes b.i_reads then e Raw :: acc else acc in
+  let acc = if meets a.i_reads b.i_writes then e War :: acc else acc in
+  let acc = if meets a.i_writes b.i_writes then e Waw :: acc else acc in
+  let fw = a.i_fwrites and fr = a.i_freads in
+  let acc = if fw land b.i_freads <> 0 then e Flag_raw :: acc else acc in
+  let acc = if fr land b.i_fwrites <> 0 then e Flag_war :: acc else acc in
+  let acc = if fw land b.i_fwrites <> 0 then e Flag_waw :: acc else acc in
   acc
 
 let build d (ops : Inst.op array) =

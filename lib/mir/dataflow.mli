@@ -13,10 +13,10 @@ type edge = { e_src : int; e_dst : int; e_kind : ekind }
 (** {1 Over machine microoperations} *)
 
 type op_info = {
-  i_reads : int list;
+  i_reads : int list;  (** register ids, sorted *)
   i_writes : int list;
-  i_freads : Rtl.flag list;
-  i_fwrites : Rtl.flag list;
+  i_freads : int;  (** flag mask, bit {!Rtl.flag_index} per flag *)
+  i_fwrites : int;
   i_mem : bool;
   i_phase : int;
 }

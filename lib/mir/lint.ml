@@ -152,12 +152,6 @@ let check_bindings (d : Desc.t) (p : Mir.program) =
 
 (* -- intra-instruction races (machine level) ----------------------------- *)
 
-(* Literally identical instances request the same control bits and are
-   harmless together, exactly as the conflict model exempts them. *)
-let op_identical (o1 : Inst.op) (o2 : Inst.op) =
-  o1.Inst.op_t.Desc.t_name = o2.Inst.op_t.Desc.t_name
-  && o1.Inst.op_args = o2.Inst.op_args
-
 let op_name (o : Inst.op) = o.Inst.op_t.Desc.t_name
 
 let check_races ?(pedantic = false) ?(labels = []) (d : Desc.t) insts =
@@ -166,47 +160,52 @@ let check_races ?(pedantic = false) ?(labels = []) (d : Desc.t) insts =
   let add f = findings := f :: !findings in
   List.iteri
     (fun i (inst : Inst.t) ->
-      let loc = word_loc i in
+      let loc () = word_loc i in
       let nops = List.length inst.Inst.ops in
       if d.Desc.d_vertical && nops > 1 then
         add
-          (Diag.finding ~code:"vertical-packed" ~loc
+          (Diag.finding ~code:"vertical-packed" ~loc:(loc ())
              "%d operations packed into one word of vertical machine %s" nops
              d.Desc.d_name);
       let rec pairs = function
         | [] -> ()
         | o1 :: rest ->
+            let x1 = Desc.facts d o1.Inst.op_t in
             List.iter
               (fun o2 ->
-                if not (op_identical o1 o2) then begin
+                let x2 = Desc.facts d o2.Inst.op_t in
+                (* literally identical instances request the same control
+                   bits and are harmless together, exactly as the conflict
+                   model exempts them *)
+                if not (Inst.identical o1 o2) then begin
                   let p1 = Inst.op_phase o1 and p2 = Inst.op_phase o2 in
-                  let w1 = Inst.op_writes d o1 and w2 = Inst.op_writes d o2 in
                   if p1 = p2 then begin
+                    let w1 = Inst.op_writes d o1 and w2 = Inst.op_writes d o2 in
                     List.iter
                       (fun r ->
-                        if List.mem r w2 then
+                        if List.exists (fun x -> x = r) w2 then
                           add
-                            (Diag.finding ~code:"race-ww" ~loc
+                            (Diag.finding ~code:"race-ww" ~loc:(loc ())
                                "%s and %s both write %s in phase %d: the \
                                 committed value is undefined"
                                (op_name o1) (op_name o2) (rname d r) p1))
                       w1;
-                    (match (Inst.op_sets_flags o1, Inst.op_sets_flags o2) with
-                    | _ :: _, _ :: _ ->
-                        add
-                          (Diag.finding ~code:"race-flag" ~loc
-                             "%s and %s both update condition flags in phase \
-                              %d"
-                             (op_name o1) (op_name o2) p1)
-                    | _, _ -> ());
+                    if x1.Desc.x_set_flags <> 0 && x2.Desc.x_set_flags <> 0 then
+                      add
+                        (Diag.finding ~code:"race-flag" ~loc:(loc ())
+                           "%s and %s both update condition flags in phase %d"
+                           (op_name o1) (op_name o2) p1);
+                    (* the masks only rule out; names decide *)
                     (match
-                       List.find_opt
-                         (fun u -> List.mem u (Inst.op_units o2))
-                         (Inst.op_units o1)
+                       if x1.Desc.x_units land x2.Desc.x_units = 0 then None
+                       else
+                         List.find_opt
+                           (fun u -> List.mem u o2.Inst.op_t.Desc.t_units)
+                           o1.Inst.op_t.Desc.t_units
                      with
                     | Some u ->
                         add
-                          (Diag.finding ~code:"unit-clash" ~loc
+                          (Diag.finding ~code:"unit-clash" ~loc:(loc ())
                              "%s and %s both occupy unit %s in phase %d"
                              (op_name o1) (op_name o2) u p1)
                     | None -> ());
@@ -216,10 +215,10 @@ let check_races ?(pedantic = false) ?(labels = []) (d : Desc.t) insts =
                         (fun (w, r, a, b) ->
                           List.iter
                             (fun reg ->
-                              if List.mem reg r then
+                              if List.exists (fun x -> x = reg) r then
                                 add
                                   (Diag.finding ~severity:Diag.Info
-                                     ~code:"share-rw" ~loc
+                                     ~code:"share-rw" ~loc:(loc ())
                                      "%s reads %s while %s writes it in phase \
                                       %d (legal: reads sample at phase start)"
                                      (op_name b) (rname d reg) (op_name a) p1))
@@ -227,10 +226,9 @@ let check_races ?(pedantic = false) ?(labels = []) (d : Desc.t) insts =
                         [ (w1, r2, o1, o2); (w2, r1, o2, o1) ]
                     end
                   end;
-                  if Inst.op_touches_memory o1 && Inst.op_touches_memory o2
-                  then
+                  if x1.Desc.x_mem && x2.Desc.x_mem then
                     add
-                      (Diag.finding ~code:"race-mem" ~loc
+                      (Diag.finding ~code:"race-mem" ~loc:(loc ())
                          "%s and %s both use the single memory port"
                          (op_name o1) (op_name o2))
                 end)
@@ -249,16 +247,9 @@ let check_races ?(pedantic = false) ?(labels = []) (d : Desc.t) insts =
    round-tripping, so a disagreement between the two implementations also
    surfaces as a finding. *)
 
-let lint_flag_index f =
-  let rec idx i = function
-    | [] -> 0
-    | g :: rest -> if g = f then i else idx (i + 1) rest
-  in
-  idx 0 Rtl.all_flags
-
 let lint_cond_code = function
-  | Desc.C_flag (f, true) -> 1 + lint_flag_index f
-  | Desc.C_flag (f, false) -> 6 + lint_flag_index f
+  | Desc.C_flag (f, true) -> 1 + Rtl.flag_index f
+  | Desc.C_flag (f, false) -> 6 + Rtl.flag_index f
   | Desc.C_reg_zero (_, true) -> 11
   | Desc.C_reg_zero (_, false) -> 12
   | Desc.C_int_pending -> 13
@@ -273,21 +264,23 @@ let lint_mask_value mask =
     mask;
   !v
 
+(* Sequencing settings as (position in Desc.seq_fields, value):
+   0 seq, 1 cond, 2 addr, 3 breg, 4 mask, 5 dspec. *)
 let seq_settings (next : Inst.next) =
   match next with
-  | Inst.Next -> [ ("seq", 0) ]
-  | Inst.Jump a -> [ ("seq", 1); ("addr", a) ]
+  | Inst.Next -> [ (0, 0) ]
+  | Inst.Jump a -> [ (0, 1); (2, a) ]
   | Inst.Branch (c, a) ->
-      [ ("seq", 2); ("cond", lint_cond_code c); ("addr", a) ]
+      [ (0, 2); (1, lint_cond_code c); (2, a) ]
       @ (match c with
-        | Desc.C_reg_zero (r, _) -> [ ("breg", r) ]
-        | Desc.C_reg_mask (r, m) -> [ ("breg", r); ("mask", lint_mask_value m) ]
+        | Desc.C_reg_zero (r, _) -> [ (3, r) ]
+        | Desc.C_reg_mask (r, m) -> [ (3, r); (4, lint_mask_value m) ]
         | Desc.C_flag _ | Desc.C_int_pending -> [])
   | Inst.Dispatch { dreg; hi; lo; base } ->
-      [ ("seq", 3); ("breg", dreg); ("addr", base); ("dspec", (hi lsl 6) lor lo) ]
-  | Inst.Call a -> [ ("seq", 4); ("addr", a) ]
-  | Inst.Return -> [ ("seq", 5) ]
-  | Inst.Halt -> [ ("seq", 6) ]
+      [ (0, 3); (3, dreg); (2, base); (5, (hi lsl 6) lor lo) ]
+  | Inst.Call a -> [ (0, 4); (2, a) ]
+  | Inst.Return -> [ (0, 5) ]
+  | Inst.Halt -> [ (0, 6) ]
 
 let field_fits (f : Desc.field) v =
   v >= 0 && (f.Desc.f_width >= 62 || v lsr f.Desc.f_width = 0)
@@ -299,7 +292,8 @@ let check_operands (d : Desc.t) loc (op : Inst.op) =
   let arity = Array.length tm.Desc.t_operands in
   if Array.length op.Inst.op_args <> arity then
     [
-      Diag.finding ~code:"bad-operand" ~loc "%s takes %d operands, %d given"
+      Diag.finding ~code:"bad-operand" ~loc:(loc ())
+        "%s takes %d operands, %d given"
         tm.Desc.t_name arity
         (Array.length op.Inst.op_args);
     ]
@@ -312,32 +306,32 @@ let check_operands (d : Desc.t) loc (op : Inst.op) =
         | Inst.A_reg r, Desc.O_reg cls ->
             if r < 0 || r >= Array.length d.Desc.d_regs then
               findings :=
-                Diag.finding ~code:"bad-operand" ~loc
+                Diag.finding ~code:"bad-operand" ~loc:(loc ())
                   "%s operand %s: register id %d does not exist on %s"
                   tm.Desc.t_name spec.Desc.o_name r d.Desc.d_name
                 :: !findings
             else if not (Desc.reg_in_class (Desc.reg d r) cls) then
               findings :=
-                Diag.finding ~code:"bad-operand" ~loc
+                Diag.finding ~code:"bad-operand" ~loc:(loc ())
                   "%s operand %s: %s is not in class %s" tm.Desc.t_name
                   spec.Desc.o_name (rname d r) cls
                 :: !findings
         | Inst.A_imm v, Desc.O_imm w ->
             if Msl_bitvec.Bitvec.width v <> w then
               findings :=
-                Diag.finding ~code:"bad-operand" ~loc
+                Diag.finding ~code:"bad-operand" ~loc:(loc ())
                   "%s operand %s: immediate is %d bits, field takes %d"
                   tm.Desc.t_name spec.Desc.o_name (Msl_bitvec.Bitvec.width v) w
                 :: !findings
         | Inst.A_reg _, Desc.O_imm _ ->
             findings :=
-              Diag.finding ~code:"bad-operand" ~loc
+              Diag.finding ~code:"bad-operand" ~loc:(loc ())
                 "%s operand %s: register given where an immediate is expected"
                 tm.Desc.t_name spec.Desc.o_name
               :: !findings
         | Inst.A_imm _, Desc.O_reg _ ->
             findings :=
-              Diag.finding ~code:"bad-operand" ~loc
+              Diag.finding ~code:"bad-operand" ~loc:(loc ())
                 "%s operand %s: immediate given where a register is expected"
                 tm.Desc.t_name spec.Desc.o_name
               :: !findings)
@@ -347,59 +341,71 @@ let check_operands (d : Desc.t) loc (op : Inst.op) =
 
 let check_encoding ?(labels = []) (d : Desc.t) insts =
   let word_loc = Diag.word_loc labels in
-  let find_field name =
-    List.find_opt (fun (f : Desc.field) -> f.Desc.f_name = name) d.Desc.d_fields
-  in
   let findings = ref [] in
   List.iteri
     (fun i (inst : Inst.t) ->
-      let loc = word_loc i in
+      let loc () = word_loc i in
       let word_findings = ref [] in
       let add f = word_findings := f :: !word_findings in
       List.iter
         (fun op -> List.iter add (check_operands d loc op))
         inst.Inst.ops;
-      (* Field settings of the whole word: each op's, then the
-         sequencer's.  op_field_values indexes the argument array, which
-         a mutant may have truncated — treat that as no settings; the
-         operand check above already reported it. *)
-      let op_settings op =
-        match Inst.op_field_values op with
-        | fvs -> List.map (fun (f, v) -> (f, v, "op " ^ op_name op)) fvs
-        | exception _ -> []
+      (* Field settings of the whole word as (field position, value,
+         setter): each op's, then the sequencer's, whose setter is the op
+         count; a value that overflows its field is reported as it comes.
+         An op whose settings name an operand its argument array lacks (a
+         truncated mutant) has none; the operand check above already
+         reported it. *)
+      let nops = List.length inst.Inst.ops in
+      let who w =
+        if w = nops then "sequencer"
+        else "op " ^ op_name (List.nth inst.Inst.ops w)
       in
-      let settings =
-        List.concat_map op_settings inst.Inst.ops
-        @ List.map (fun (f, v) -> (f, v, "sequencer")) (seq_settings inst.Inst.next)
+      let fname slot = d.Desc.d_fields.(slot).Desc.f_name in
+      let settings = ref [] in
+      let set w slot v =
+        let f = d.Desc.d_fields.(slot) in
+        if not (field_fits f v) then
+          add
+            (Diag.finding ~code:"field-overflow" ~loc:(loc ())
+               "%s: value %d does not fit the %d-bit field %s" (who w) v
+               f.Desc.f_width f.Desc.f_name);
+        settings := (slot, v, w) :: !settings
       in
+      List.iteri
+        (fun w (op : Inst.op) ->
+          let x = Desc.facts d op.Inst.op_t in
+          let nargs = Array.length op.Inst.op_args in
+          if Array.for_all (fun v -> v >= 0 || -1 - v < nargs) x.Desc.x_values
+          then
+            Array.iteri
+              (fun k slot -> set w slot (Inst.setting_value x op k))
+              x.Desc.x_slots)
+        inst.Inst.ops;
       List.iter
-        (fun (fname, v, who) ->
-          match find_field fname with
-          | None ->
+        (fun (k, v) ->
+          match d.Desc.d_seq_slots.(k) with
+          | -1 ->
               add
-                (Diag.finding ~code:"bad-field" ~loc
-                   "%s sets field %s, which %s does not have" who fname
-                   d.Desc.d_name)
-          | Some f ->
-              if not (field_fits f v) then
-                add
-                  (Diag.finding ~code:"field-overflow" ~loc
-                     "%s: value %d does not fit the %d-bit field %s" who v
-                     f.Desc.f_width fname))
-        settings;
+                (Diag.finding ~code:"bad-field" ~loc:(loc ())
+                   "sequencer sets field %s, which %s does not have"
+                   Desc.seq_fields.(k) d.Desc.d_name)
+          | slot -> set nops slot v)
+        (seq_settings inst.Inst.next);
+      let settings = List.rev !settings in
       let rec clashes = function
         | [] -> ()
-        | (f1, v1, who1) :: rest ->
+        | (s1, v1, w1) :: rest ->
             (match
-               List.find_opt (fun (f2, v2, _) -> f1 = f2 && v1 <> v2) rest
+               List.find_opt (fun (s2, v2, _) -> s1 = s2 && v1 <> v2) rest
              with
-            | Some (_, v2, who2) ->
+            | Some (_, v2, w2) ->
                 add
-                  (Diag.finding ~code:"field-clash" ~loc
-                     "field %s needed with values %d (%s) and %d (%s)" f1 v1
-                     who1 v2 who2)
+                  (Diag.finding ~code:"field-clash" ~loc:(loc ())
+                     "field %s needed with values %d (%s) and %d (%s)"
+                     (fname s1) v1 (who w1) v2 (who w2))
             | None -> ());
-            clashes (List.filter (fun (f2, _, _) -> f2 <> f1) rest)
+            clashes (List.filter (fun (s2, _, _) -> s2 <> s1) rest)
       in
       clashes settings;
       (* Cross-check the encoder itself only on words we believe clean:
@@ -408,20 +414,18 @@ let check_encoding ?(labels = []) (d : Desc.t) insts =
         match Msl_util.Diag.protect (fun () -> Encode.encode_inst d inst) with
         | Error e ->
             add
-              (Diag.finding ~code:"encode-mismatch" ~loc
+              (Diag.finding ~code:"encode-mismatch" ~loc:(loc ())
                  "encoder rejects a word the analyzer accepts: %s"
                  e.Msl_util.Diag.message)
-        | Ok w ->
-            let decoded = Encode.decode_fields d w in
+        | Ok wd ->
             List.iter
-              (fun (fname, v, who) ->
-                match List.assoc_opt fname decoded with
-                | Some v' when v' <> v ->
-                    add
-                      (Diag.finding ~code:"decode-mismatch" ~loc
-                         "field %s set to %d by %s reads back as %d" fname v
-                         who v')
-                | Some _ | None -> ())
+              (fun (slot, v, w) ->
+                let v' = Encode.read_field wd d.Desc.d_fields.(slot) in
+                if v' <> v then
+                  add
+                    (Diag.finding ~code:"decode-mismatch" ~loc:(loc ())
+                       "field %s set to %d by %s reads back as %d" (fname slot)
+                       v (who w) v'))
               settings
       end;
       findings := List.rev_append !word_findings !findings)

@@ -183,10 +183,7 @@ and emit_binop_plain ctx ~set_flags dst bop a b =
         set_flags
         && not
              (List.exists
-                (fun o ->
-                  List.exists
-                    (fun act -> Rtl.action_sets_flags act <> [])
-                    o.Inst.op_t.Desc.t_actions)
+                (fun o -> (Desc.facts ctx.d o.Inst.op_t).Desc.x_set_flags <> 0)
                 ops)
       then ops @ emit_test ctx dst
       else ops

@@ -334,16 +334,19 @@ let fold_block stats observe d ~succ ((label, ws) : string * words) =
 
 (* -- window repacking --------------------------------------------------------- *)
 
-(* The memo key is content-addressed: machine, the window's
-   microoperations, and the search options.  The packing is stored as
-   flat-op index groups — never the ops themselves — and is re-checked
-   against the dependence/conflict model and the full proof gate on
-   every use, so corrupt or colliding entries cost a re-search, never a
-   wrong answer. *)
+(* The memo key is content-addressed: the machine's digest, each window
+   op as its template's position and its arguments, and the search
+   options.  The packing is stored as flat-op index groups — never the
+   ops themselves — and is re-checked against the dependence/conflict
+   model and the full proof gate on every use, so corrupt or colliding
+   entries cost a re-search, never a wrong answer. *)
 let window_key d ~chain ~node_budget (ops : Inst.op list) =
+  let op (o : Inst.op) = (Desc.template_index d o.Inst.op_t, o.Inst.op_args) in
   Digest.to_hex
     (Digest.string
-       (Marshal.to_string (d.Desc.d_name, chain, node_budget, ops) []))
+       (Marshal.to_string
+          (d.Desc.d_digest, chain, node_budget, List.map op ops)
+          []))
 
 let indices_of_groups (flat : Inst.op array) groups =
   let n = Array.length flat in

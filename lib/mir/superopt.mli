@@ -68,7 +68,8 @@ type stats = {
 }
 
 (** A content-addressed memo for window search results.  Keys are hex
-    digests of (machine, window, chain, node budget); values are opaque
+    digests of (machine digest, each window op's template position and
+    arguments, chain, node budget); values are opaque
     strings produced and consumed by this module only.  A [memo_find]
     returning corrupt or stale data is safe: the packing is re-checked
     against {!Compaction.check} and the full proof gate before use. *)

@@ -237,6 +237,204 @@ let test_mutants_never_crash () =
         (mutation_corpus d))
     all_machines
 
+(* The exact findings the machine-level race (pedantic) and encoding
+   checks give each defect kind at seed 1, on the first mutation-corpus
+   program offering a site: pinned so that a change to how the checks
+   read the description cannot move a message, its order or its count. *)
+let pinned_findings =
+  [
+    ( "HP3", "race-ww",
+      [
+        "error[race-ww] word 0: mov and shl both write R25 in phase 0: the committed value is undefined";
+        "info[share-rw] word 0: mov reads R25 while shl writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 3: sub reads R4 while mov writes it in phase 0 (legal: reads sample at phase start)";
+      ] );
+    ( "HP3", "field-overflow",
+      [
+        "info[share-rw] word 3: sub reads R4 while mov writes it in phase 0 (legal: reads sample at phase start)";
+        "error[field-overflow] word 0: op and: value 64 does not fit the 6-bit field alu_a";
+        "error[bad-operand] word 0: and operand a: register id 64 does not exist on HP3";
+      ] );
+    ( "HP3", "swap-fields",
+      [
+        "info[share-rw] word 3: sub reads R4 while mov writes it in phase 0 (legal: reads sample at phase start)";
+      ] );
+    ( "HP3", "drop-dep",
+      [
+        "info[share-rw] word 1: inc reads R4 while sub writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 3: sub reads R4 while mov writes it in phase 0 (legal: reads sample at phase start)";
+      ] );
+    ( "H1", "race-ww",
+      [
+        "error[race-ww] word 1: or and xor both write R0 in phase 1: the committed value is undefined";
+        "error[unit-clash] word 1: or and xor both occupy unit alu in phase 1";
+        "info[share-rw] word 1: or reads R0 while xor writes it in phase 1 (legal: reads sample at phase start)";
+        "info[share-rw] word 3: and reads ACC while shl writes it in phase 1 (legal: reads sample at phase start)";
+        "error[field-clash] word 1: field alu_b needed with values 0 (op or) and 8 (op xor)";
+        "error[field-clash] word 1: field alu_a needed with values 3 (op or) and 8 (op xor)";
+        "error[field-clash] word 1: field alu_op needed with values 5 (op or) and 6 (op xor)";
+      ] );
+    ( "H1", "field-overflow",
+      [
+        "info[share-rw] word 3: and reads ACC while shl writes it in phase 1 (legal: reads sample at phase start)";
+        "error[field-overflow] word 0: op and: value 32 does not fit the 5-bit field alu_a";
+        "error[bad-operand] word 0: and operand a: register id 32 does not exist on H1";
+      ] );
+    ( "H1", "swap-fields",
+      [
+        "info[share-rw] word 3: and reads ACC while shl writes it in phase 1 (legal: reads sample at phase start)";
+      ] );
+    ( "H1", "drop-dep",
+      [
+        "info[share-rw] word 2: inc reads R9 while sub writes it in phase 1 (legal: reads sample at phase start)";
+        "info[share-rw] word 3: and reads ACC while shl writes it in phase 1 (legal: reads sample at phase start)";
+      ] );
+    ( "V11", "race-ww",
+      [
+        "error[race-ww] word 0: ldc and mov both write R2 in phase 0: the committed value is undefined";
+        "error[unit-clash] word 0: ldc and mov both occupy unit bus in phase 0";
+        "info[share-rw] word 18: mov reads ACC while add writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 19: mov reads ACC while not writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 22: add reads R12 while ldc writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 23: mov reads ACC while not writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 24: mov reads ACC while add writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 26: mov reads ACC while add writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 29: sub reads R3 while mov writes it in phase 0 (legal: reads sample at phase start)";
+        "error[field-clash] word 0: field port needed with values 2 (op ldc) and 1 (op mov)";
+      ] );
+    ( "V11", "field-overflow",
+      [
+        "info[share-rw] word 18: mov reads ACC while add writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 19: mov reads ACC while not writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 22: add reads R12 while ldc writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 23: mov reads ACC while not writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 24: mov reads ACC while add writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 26: mov reads ACC while add writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 29: sub reads R3 while mov writes it in phase 0 (legal: reads sample at phase start)";
+        "error[field-overflow] word 1: op ldc: value 16 does not fit the 4-bit field port_d";
+        "error[bad-operand] word 1: ldc operand dst: register id 16 does not exist on V11";
+      ] );
+    ( "V11", "swap-fields",
+      [
+        "info[share-rw] word 18: mov reads ACC while add writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 19: mov reads ACC while not writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 22: add reads R12 while ldc writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 23: mov reads ACC while not writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 24: mov reads ACC while add writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 26: mov reads ACC while add writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 29: sub reads R3 while mov writes it in phase 0 (legal: reads sample at phase start)";
+        "error[field-overflow] word 1: op ldc: value 116 does not fit the 4-bit field port_d";
+        "error[bad-operand] word 1: ldc operand imm: register given where an immediate is expected";
+        "error[bad-operand] word 1: ldc operand dst: immediate given where a register is expected";
+      ] );
+    ( "V11", "drop-dep",
+      [
+        "error[race-ww] word 2: ldc and mov both write R5 in phase 0: the committed value is undefined";
+        "error[unit-clash] word 2: ldc and mov both occupy unit bus in phase 0";
+        "info[share-rw] word 2: mov reads ACC while and writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 18: mov reads ACC while add writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 19: mov reads ACC while not writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 22: add reads R12 while ldc writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 23: mov reads ACC while not writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 24: mov reads ACC while add writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 26: mov reads ACC while add writes it in phase 0 (legal: reads sample at phase start)";
+        "info[share-rw] word 29: sub reads R3 while mov writes it in phase 0 (legal: reads sample at phase start)";
+        "error[field-clash] word 2: field port needed with values 2 (op ldc) and 1 (op mov)";
+      ] );
+    ( "B17", "race-ww",
+      [
+        "error[vertical-packed] word 1: 2 operations packed into one word of vertical machine B17";
+        "error[race-ww] word 1: and and mov both write R19 in phase 0: the committed value is undefined";
+        "error[unit-clash] word 1: and and mov both occupy unit exec in phase 0";
+        "info[share-rw] word 1: and reads R19 while mov writes it in phase 0 (legal: reads sample at phase start)";
+        "error[field-clash] word 1: field a needed with values 2 (op and) and 0 (op mov)";
+        "error[field-clash] word 1: field op needed with values 6 (op and) and 1 (op mov)";
+      ] );
+    ( "B17", "field-overflow",
+      [
+        "error[field-overflow] word 0: op and: value 32 does not fit the 5-bit field a";
+        "error[bad-operand] word 0: and operand a: register id 32 does not exist on B17";
+      ] );
+    ( "B17", "swap-fields",
+      [] );
+    ( "B17", "drop-dep",
+      [
+        "error[vertical-packed] word 4: 2 operations packed into one word of vertical machine B17";
+        "error[unit-clash] word 4: sub and inc both occupy unit exec in phase 0";
+        "info[share-rw] word 4: inc reads R18 while sub writes it in phase 0 (legal: reads sample at phase start)";
+        "error[field-clash] word 4: field a needed with values 19 (op sub) and 18 (op inc)";
+        "error[field-clash] word 4: field d needed with values 18 (op sub) and 20 (op inc)";
+        "error[field-clash] word 4: field op needed with values 5 (op sub) and 17 (op inc)";
+      ] );
+  ]
+
+let test_pinned_findings () =
+  List.iter
+    (fun (m, defect, expect) ->
+      let d = Machines.get m in
+      let defect = List.find (fun k -> W.defect_name k = defect) W.all_defects in
+      let got =
+        List.find_map
+          (fun (_, insts) -> W.inject_defect d ~seed:1 defect insts)
+          (mutation_corpus d)
+        |> Option.map (fun mutant ->
+               List.map
+                 (fun f -> Fmt.str "%a" Diag.pp_finding f)
+                 (Lint.check_races ~pedantic:true d mutant
+                 @ Lint.check_encoding d mutant))
+      in
+      Alcotest.(check (option (list string)))
+        (Printf.sprintf "%s %s" m (W.defect_name defect))
+        (Some expect) got)
+    pinned_findings
+
+(* Crafted words for the findings no defect kind above draws. *)
+let test_pinned_words () =
+  let check what d insts expect =
+    Alcotest.(check (list string)) what expect
+      (List.map
+         (fun f -> Fmt.str "%a" Diag.pp_finding f)
+         (Lint.check_races ~pedantic:true d insts @ Lint.check_encoding d insts))
+  in
+  check "mask branch on B17" Machines.b17
+    [ { Inst.ops = []; next = Inst.Branch (Desc.C_reg_mask (1, [| Desc.Mt |]), 0) } ]
+    [ "error[bad-field] word 0: sequencer sets field mask, which B17 does not have" ];
+  (* ops whose template is another machine's are refused, not linted
+     against facts they do not have *)
+  let b17_ldc = Masm.parse_program Machines.b17 "[ ldc R1, #1 ]\n[ ldc R2, #2 ]\n" in
+  let foreign =
+    [ { Inst.ops = List.concat_map (fun i -> i.Inst.ops) b17_ldc; next = Inst.Halt } ]
+  in
+  List.iter
+    (fun (what, lint) ->
+      Alcotest.check_raises ("B17 ops linted against HP3: " ^ what)
+        (Invalid_argument "HP3: template ldc is not this machine's")
+        (fun () -> ignore (lint Machines.hp3 foreign)))
+    [ ("races", fun d i -> Lint.check_races ~pedantic:true d i);
+      ("encoding", fun d i -> Lint.check_encoding d i) ];
+  let d = Machines.hp3 in
+  let op name regs =
+    Inst.make d name
+      (List.map (fun n -> Inst.A_reg (Desc.get_reg d n).Desc.r_id) regs)
+  in
+  check "four ops in one HP3 word" d
+    [ { Inst.ops =
+          [ op "add" [ "R3"; "R1"; "R2" ]; op "sub" [ "R4"; "R5"; "R6" ];
+            op "rdr" [ "R7"; "R8" ]; op "wrr" [ "R9"; "R10" ] ];
+        next = Inst.Halt } ]
+    [
+      "error[unit-clash] word 0: add and sub both occupy unit alu in phase 0";
+      "error[unit-clash] word 0: rdr and wrr both occupy unit mem in phase 1";
+      "error[race-mem] word 0: rdr and wrr both use the single memory port";
+      "error[field-clash] word 0: field mem_a needed with values 8 (op rdr) and 9 (op wrr)";
+      "error[field-clash] word 0: field mem_d needed with values 7 (op rdr) and 10 (op wrr)";
+      "error[field-clash] word 0: field mem needed with values 3 (op rdr) and 4 (op wrr)";
+      "error[field-clash] word 0: field alu_b needed with values 2 (op add) and 6 (op sub)";
+      "error[field-clash] word 0: field alu_a needed with values 1 (op add) and 5 (op sub)";
+      "error[field-clash] word 0: field alu_d needed with values 3 (op add) and 4 (op sub)";
+      "error[field-clash] word 0: field alu_op needed with values 1 (op add) and 3 (op sub)";
+    ]
+
 (* -- unit tests: MIR analyses -------------------------------------------- *)
 
 let prog main =
@@ -450,6 +648,10 @@ let () =
             test_detect_overflow;
           Alcotest.test_case "all defects: analyzer never crashes" `Quick
             test_mutants_never_crash;
+          Alcotest.test_case "each defect kind: pinned findings" `Quick
+            test_pinned_findings;
+          Alcotest.test_case "crafted words: pinned findings" `Quick
+            test_pinned_words;
         ] );
       ( "analyses",
         [

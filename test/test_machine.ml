@@ -37,10 +37,13 @@ let test_descriptions_valid () =
         (Array.length d.Desc.d_regs > 0);
       check_bool (d.Desc.d_name ^ " has templates") true
         (Array.length d.Desc.d_templates > 0);
-      (* sequencing fields are mandatory *)
-      List.iter
-        (fun f -> ignore (Encode.field d f))
-        [ "seq"; "cond"; "addr"; "breg" ])
+      (* sequencing fields are mandatory: seq, cond, addr, breg *)
+      Array.iteri
+        (fun k slot ->
+          if k < 4 then
+            check_bool (d.Desc.d_name ^ " has " ^ Desc.seq_fields.(k)) true
+              (slot >= 0))
+        d.Desc.d_seq_slots)
     Machines.all
 
 let test_register_lookup () =
@@ -54,7 +57,7 @@ let test_register_lookup () =
 let test_word_widths () =
   (* the vertical machine's control word must be much narrower than the
      horizontal machines' words: the survey's encoding trade-off *)
-  let bits d = Encode.word_bits d in
+  let bits (d : Desc.t) = d.Desc.d_word_bits in
   check_bool "B17 narrower than H1" true (bits Machines.b17 < bits Machines.h1 / 2);
   check_bool "B17 narrower than HP3" true (bits Machines.b17 < bits Machines.hp3 / 2)
 
@@ -233,11 +236,18 @@ let test_masm_listing_shapes () =
 
 (* -- encoder ------------------------------------------------------------- *)
 
+(* Every field of a control word as (name, value), through the
+   disassembler's field reader. *)
+let decode_fields (d : Desc.t) w =
+  List.map
+    (fun (f : Desc.field) -> (f.f_name, Encode.read_field w f))
+    (Array.to_list d.Desc.d_fields)
+
 let test_encode_roundtrip_fields () =
   let d = Machines.hp3 in
   let prog = Masm.parse_program d "[ add R3, R1, R2 ] -> if Z goto 0" in
   let w = Encode.encode_inst d (List.hd prog) in
-  let fields = Encode.decode_fields d w in
+  let fields = decode_fields d w in
   check_int "alu_d" 3 (List.assoc "alu_d" fields);
   check_int "alu_a" 1 (List.assoc "alu_a" fields);
   check_int "alu_b" 2 (List.assoc "alu_b" fields);
@@ -246,7 +256,7 @@ let test_encode_roundtrip_fields () =
 let test_encode_program_bits () =
   let d = Machines.b17 in
   let prog = Masm.parse_program d "[ ldc R1, #1 ]\n[ ] -> halt" in
-  check_int "bits = 2 words" (2 * Encode.word_bits d)
+  check_int "bits = 2 words" (2 * d.Desc.d_word_bits)
     (Encode.program_bits d prog)
 
 (* -- memory -------------------------------------------------------------- *)

@@ -152,7 +152,7 @@ let test_round_trip () =
 let test_inventory () =
   let pin name words regs phases =
     let d = Machines.get name in
-    Alcotest.(check int) (name ^ " word bits") words (Desc.word_bits d);
+    Alcotest.(check int) (name ^ " word bits") words d.Desc.d_word_bits;
     Alcotest.(check int) (name ^ " registers") regs (Array.length d.Desc.d_regs);
     Alcotest.(check int) (name ^ " phases") phases d.Desc.d_phases
   in
@@ -337,6 +337,7 @@ let nop_tmpl ?(fields = []) ?(actions = []) name =
     t_fields = fields;
     t_actions = actions;
     t_extra_cycles = 0;
+    t_facts = Desc.unresolved;
   }
 
 let test_validate_invariants () =
@@ -364,6 +365,8 @@ let test_validate_invariants () =
       mk ~templates:[ nop_tmpl "nop"; nop_tmpl "NOP" ] ());
   rejected "duplicate unit names (case-insensitive)" "duplicate unit name"
     (fun () -> mk ~units:[ "alu"; "ALU" ] ());
+  rejected "more units than a mask holds" "more than 62" (fun () ->
+      mk ~units:(List.init 63 (Printf.sprintf "u%d")) ());
   rejected "overlapping fields" "overlap" (fun () ->
       mk
         ~fields:
@@ -472,6 +475,128 @@ let test_load_file () =
       | exception Diag.Error d ->
           Alcotest.(check string) "file in loc" tmp2 d.Diag.loc.Msl_util.Loc.file)
 
+(* -- derived template facts ------------------------------------------------ *)
+
+(* The oracle: each fact re-derived the way consumers derived it per op
+   before Desc.make resolved templates, by walking the RTL and matching
+   names. *)
+let oracle_regs d names =
+  List.sort_uniq compare (List.map (fun n -> (Desc.get_reg d n).Desc.r_id) names)
+
+let oracle_flags (tm : Desc.template) of_action =
+  List.sort_uniq compare (List.concat_map of_action tm.Desc.t_actions)
+
+let flags_of_mask m =
+  List.filter (fun f -> m land (1 lsl Rtl.flag_index f) <> 0) Rtl.all_flags
+
+let roles (tm : Desc.template) keep =
+  List.filter
+    (fun i -> keep tm.Desc.t_operands.(i).Desc.o_role)
+    (List.init (Array.length tm.Desc.t_operands) Fun.id)
+
+(* Today's per-op register sets, for ops drawn from the block generator. *)
+let oracle_op_regs d (op : Inst.op) keep of_action =
+  let operands =
+    Array.to_list op.Inst.op_args
+    |> List.filteri (fun i _ -> keep op.Inst.op_t.Desc.t_operands.(i).Desc.o_role)
+    |> List.filter_map (function Inst.A_reg r -> Some r | Inst.A_imm _ -> None)
+  in
+  let named =
+    List.concat_map of_action op.Inst.op_t.Desc.t_actions
+    |> List.map (fun n -> (Desc.get_reg d n).Desc.r_id)
+  in
+  List.sort_uniq compare (operands @ named)
+
+let reads = function Desc.Read | Desc.Read_write -> true | Desc.Write -> false
+let writes = function Desc.Write | Desc.Read_write -> true | Desc.Read -> false
+
+let check_facts (d : Desc.t) =
+  let name = d.Desc.d_name in
+  let ints what = Alcotest.(check (list int)) (name ^ " " ^ what) in
+  let fields = Array.to_list d.Desc.d_fields in
+  ints "word bits"
+    [ List.fold_left (fun a (f : Desc.field) -> max a (f.f_lo + f.f_width)) 0 fields ]
+    [ d.Desc.d_word_bits ];
+  Array.iteri
+    (fun k fname ->
+      let expect =
+        match List.find_index (fun (f : Desc.field) -> f.f_name = fname) fields with
+        | Some i -> i
+        | None -> -1
+      in
+      ints ("slot of " ^ fname) [ expect ] [ d.Desc.d_seq_slots.(k) ])
+    Desc.seq_fields;
+  Array.iteri
+    (fun i (tm : Desc.template) ->
+      let x = Desc.facts d tm in
+      let what s = tm.Desc.t_name ^ " " ^ s in
+      let acts = tm.Desc.t_actions in
+      Alcotest.(check bool) (name ^ " " ^ what "is resolved") true (x == tm.Desc.t_facts);
+      ints (what "index") [ i ] [ x.Desc.x_index ];
+      ints (what "read operands") (roles tm reads) (Array.to_list x.Desc.x_read_opnds);
+      ints (what "written operands") (roles tm writes) (Array.to_list x.Desc.x_write_opnds);
+      ints (what "read registers")
+        (oracle_regs d (List.concat_map Rtl.action_reads acts)) x.Desc.x_read_regs;
+      ints (what "written registers")
+        (oracle_regs d (List.concat_map (fun a -> fst (Rtl.action_writes a)) acts))
+        x.Desc.x_write_regs;
+      Alcotest.(check (list string)) (name ^ " " ^ what "read flags")
+        (List.map Rtl.flag_name (oracle_flags tm Rtl.action_reads_flags))
+        (List.map Rtl.flag_name (flags_of_mask x.Desc.x_read_flags));
+      Alcotest.(check (list string)) (name ^ " " ^ what "set flags")
+        (List.map Rtl.flag_name (oracle_flags tm Rtl.action_sets_flags))
+        (List.map Rtl.flag_name (flags_of_mask x.Desc.x_set_flags));
+      Alcotest.(check bool) (name ^ " " ^ what "memory")
+        (List.exists Rtl.action_touches_memory acts) x.Desc.x_mem;
+      Alcotest.(check (list string)) (name ^ " " ^ what "units")
+        (List.filter (fun u -> List.mem u tm.Desc.t_units) d.Desc.d_units)
+        (List.filteri (fun j _ -> x.Desc.x_units land (1 lsl j) <> 0) d.Desc.d_units);
+      Alcotest.(check (list (pair string int))) (name ^ " " ^ what "settings")
+        (List.map
+           (fun (fs : Desc.field_setting) ->
+             ( fs.fs_field,
+               match fs.fs_value with Desc.Fv_const c -> c | Desc.Fv_opnd o -> -1 - o ))
+           tm.Desc.t_fields)
+        (List.mapi
+           (fun k slot -> (d.Desc.d_fields.(slot).Desc.f_name, x.Desc.x_values.(k)))
+           (Array.to_list x.Desc.x_slots));
+      (* a copy the machine did not resolve has no facts and no index *)
+      let copy = { tm with Desc.t_phase = tm.Desc.t_phase } in
+      let refused f =
+        match f () with _ -> false | exception Invalid_argument _ -> true
+      in
+      Alcotest.(check bool) (name ^ " " ^ what "copy has no facts") true
+        (refused (fun () -> Desc.facts d copy));
+      Alcotest.(check bool) (name ^ " " ^ what "copy has no index") true
+        (refused (fun () -> Desc.template_index d copy)))
+    d.Desc.d_templates
+
+let test_facts_shipped () = List.iter check_facts Machines.all
+
+let test_facts_generated () =
+  for seed = 1 to 50 do
+    check_facts
+      (Mdesc.parse ~file:(Printf.sprintf "gen-%d.mdesc" seed)
+         (Core.Workloads.gen_machine ~seed))
+  done
+
+let test_facts_ops () =
+  List.iter
+    (fun d ->
+      for seed = 1 to 20 do
+        List.iter
+          (fun (op : Inst.op) ->
+            let what s = d.Desc.d_name ^ " " ^ op.Inst.op_t.Desc.t_name ^ " " ^ s in
+            Alcotest.(check (list int)) (what "reads")
+              (oracle_op_regs d op reads Rtl.action_reads)
+              (Inst.op_reads d op);
+            Alcotest.(check (list int)) (what "writes")
+              (oracle_op_regs d op writes (fun a -> fst (Rtl.action_writes a)))
+              (Inst.op_writes d op))
+          (Core.Workloads.compaction_block d ~seed ~n:12 ~p_dep:40)
+      done)
+    [ Machines.hp3; Machines.h1; Machines.b17 ]
+
 let () =
   Alcotest.run "mdesc"
     [
@@ -493,6 +618,14 @@ let () =
           Alcotest.test_case "malformed corpus" `Quick test_malformed_corpus;
           Alcotest.test_case "Desc.validate invariants" `Quick
             test_validate_invariants;
+        ] );
+      ( "facts",
+        [
+          Alcotest.test_case "shipped machines: facts = RTL walk" `Quick
+            test_facts_shipped;
+          Alcotest.test_case "50 generated machines: facts = RTL walk" `Quick
+            test_facts_generated;
+          Alcotest.test_case "op register sets = RTL walk" `Quick test_facts_ops;
         ] );
       ( "registry",
         [

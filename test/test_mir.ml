@@ -124,8 +124,17 @@ let test_compaction_vertical_forced () =
   check_bool "r_algo is the requested algo" true
     (r.Compaction.r_algo = Compaction.Optimal);
   check_bool "forced_sequential set" true r.Compaction.forced_sequential;
-  let h = Compaction.compact ~algo:Compaction.Optimal Machines.hp3 ops in
+  let hp3 = Machines.hp3 in
+  let hp3_ops =
+    List.concat_map (fun i -> i.Inst.ops)
+      (Masm.parse_program hp3 "[ ldc R1, #1 ]\n[ ldc R2, #2 ]\n")
+  in
+  let h = Compaction.compact ~algo:Compaction.Optimal hp3 hp3_ops in
   check_bool "horizontal: not forced" false h.Compaction.forced_sequential;
+  (* another machine's ops are refused, never scheduled on facts they lack *)
+  Alcotest.check_raises "B17 ops on HP3"
+    (Invalid_argument "HP3: template ldc is not this machine's") (fun () ->
+      ignore (Compaction.compact ~algo:Compaction.Optimal hp3 ops));
   let v_seq = Compaction.compact ~algo:Compaction.Sequential d ops in
   check_bool "vertical + sequential requested: not forced" false
     v_seq.Compaction.forced_sequential
@@ -709,7 +718,7 @@ let test_metrics () =
   let _, _, m = Pipeline.compile d (sum_prog d 10) in
   check_bool "instructions > 0" true (m.Pipeline.m_instructions > 0);
   check_bool "ops >= instructions - branches" true (m.Pipeline.m_ops > 0);
-  check_int "bits = words * width" (m.Pipeline.m_instructions * Encode.word_bits d)
+  check_int "bits = words * width" (m.Pipeline.m_instructions * d.Desc.d_word_bits)
     m.Pipeline.m_bits
 
 let () =

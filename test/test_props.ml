@@ -182,6 +182,29 @@ let allocator_agreement =
 
 (* -- encoding ------------------------------------------------------------------ *)
 
+(* Every field of a control word as (name, value), through the
+   disassembler's field reader. *)
+let decode_fields (d : Desc.t) w =
+  List.map
+    (fun (f : Desc.field) -> (f.f_name, Encode.read_field w f))
+    (Array.to_list d.Desc.d_fields)
+
+(* The settings an op's template asks for, read straight off its
+   [t_fields]: (field name, value), register operands as their id. *)
+let op_field_values (op : Inst.op) =
+  List.map
+    (fun (fs : Desc.field_setting) ->
+      let v =
+        match fs.fs_value with
+        | Desc.Fv_const c -> c
+        | Desc.Fv_opnd i -> (
+            match op.Inst.op_args.(i) with
+            | Inst.A_reg r -> r
+            | Inst.A_imm b -> Int64.to_int (Bitvec.to_int64 b))
+      in
+      (fs.fs_field, v))
+    op.Inst.op_t.Desc.t_fields
+
 let encode_consistent =
   QCheck.Test.make ~count:200 ~name:"encoder agrees with op field values"
     QCheck.(pair (int_bound 2) (int_bound 10_000))
@@ -191,10 +214,10 @@ let encode_consistent =
       match ops with
       | [ op ] ->
           let w = Encode.encode_inst d { Inst.ops = [ op ]; next = Inst.Halt } in
-          let fields = Encode.decode_fields d w in
+          let fields = decode_fields d w in
           List.for_all
             (fun (f, v) -> List.assoc f fields = v)
-            (Inst.op_field_values op)
+            (op_field_values op)
           && List.assoc "seq" fields = Encode.seq_halt
       | _ -> false)
 
@@ -213,7 +236,7 @@ let encode_deterministic =
 
 (* encode/decode round trip: the disassembler recovers exactly what the
    encoder wrote *)
-let op_key op = (op.Inst.op_t.Msl_machine.Desc.t_name, Inst.op_field_values op)
+let op_key op = (op.Inst.op_t.Msl_machine.Desc.t_name, op_field_values op)
 
 let encode_roundtrip =
   QCheck.Test.make ~count:150 ~name:"control words decode back to their ops"

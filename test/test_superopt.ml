@@ -279,6 +279,55 @@ let test_memo_round_trip () =
   let out3, _ = run_superopt ~memo ~extra_refs:[] (blocks ()) in
   check_bool "corrupt memo falls back to a fresh search" true (out1 = out3)
 
+(* Keys name the machine by digest and each op by template position and
+   arguments: a same-named machine with a different template keys apart,
+   whether or not the window uses it, and an equal window keys equal
+   however its ops were built. *)
+let test_memo_keys () =
+  let keys d =
+    let seen = ref [] in
+    let memo =
+      { Superopt.memo_find = (fun k -> seen := k :: !seen; None);
+        memo_add = (fun _ _ -> ()) }
+    in
+    let op name regs =
+      Inst.make d name
+        (List.map (fun r -> Inst.A_reg (Desc.get_reg d r).Desc.r_id) regs)
+    in
+    let blocks =
+      [ ("entry", [ ([ op "mov" [ "R1"; "R2" ] ], Select.L_goto "tail") ]);
+        ("tail", [ ([ op "add" [ "R3"; "R4"; "R5" ] ], Select.L_halt) ]) ]
+    in
+    ignore
+      (Superopt.run ~memo ~chain:Pipeline.default_options.Pipeline.chain
+         ~node_budget:Pipeline.default_options.Pipeline.bb_budget
+         ~extra_refs:[] d blocks);
+    List.rev !seen
+  in
+  let src = Mdesc.to_source hp3 in
+  (* HP3 with one extra stall cycle on template [name] *)
+  let edited name =
+    let marker = Printf.sprintf "tmpl %s {\n    sem binop %s\n" name name in
+    let n = String.length marker in
+    let rec find i = if String.sub src i n = marker then i + n else find (i + 1) in
+    let at = find 0 in
+    Mdesc.parse ~file:"hp3-edited.mdesc"
+      (String.sub src 0 at ^ "    extra 1\n"
+      ^ String.sub src at (String.length src - at))
+  in
+  let k = keys hp3 in
+  check_bool "the window is looked up" true (k <> []);
+  check_bool "equal windows key equal" true (k = keys hp3);
+  check_bool "a reparsed copy keys equal" true
+    (k = keys (Mdesc.parse ~file:"hp3.mdesc" src));
+  List.iter
+    (fun name ->
+      let d = edited name in
+      check_bool "the edit keeps the name" true (d.Desc.d_name = hp3.Desc.d_name);
+      check_bool ("an edited " ^ name ^ " keys apart") true
+        (List.for_all (fun k' -> not (List.mem k' k)) (keys d)))
+    [ "add"; "sub" ]
+
 let () =
   Alcotest.run "superopt"
     [
@@ -304,5 +353,7 @@ let () =
         ] );
       ( "memo",
         [ Alcotest.test_case "find/add round trip, corruption safe" `Quick
-            test_memo_round_trip ] );
+            test_memo_round_trip;
+          Alcotest.test_case "keys: machine digest, template position, args"
+            `Quick test_memo_keys ] );
     ]
