@@ -29,12 +29,6 @@ type token =
   | Bar
   | Eof
 
-let keywords =
-  [ "declare"; "fixed"; "type"; "endtype"; "initially"; "do"; "end"; "while";
-    "operation"; "accepts"; "returns"; "microop"; "if"; "then"; "else";
-    "goto"; "call"; "return"; "error"; "procedure"; "xor"; "nand"; "nor";
-    "nxor"; "mod"; "not"; "neg"; "shl"; "shr"; "sar"; "rol"; "ror" ]
-
 type t = { sc : Scanner.t; mutable tok : token; mutable tok_loc : Loc.t }
 
 let err lx fmt = Diag.error ~loc:(Scanner.here lx.sc) Diag.Lexing fmt
@@ -42,64 +36,65 @@ let err lx fmt = Diag.error ~loc:(Scanner.here lx.sc) Diag.Lexing fmt
 let rec skip_trivia lx =
   let sc = lx.sc in
   Scanner.skip_spaces sc;
-  if Scanner.peek sc = Some '/' && Scanner.peek2 sc = Some '*' then begin
+  if Scanner.peek sc = '/' && Scanner.peek2 sc = '*' then begin
     Scanner.advance sc;
     Scanner.advance sc;
     let rec loop () =
-      match Scanner.next sc with
-      | None -> err lx "unterminated comment"
-      | Some '*' when Scanner.peek sc = Some '/' -> Scanner.advance sc
-      | Some _ -> loop ()
+      Scanner.skip_while sc (fun c -> c <> '*');
+      if Scanner.eof sc then err lx "unterminated comment";
+      Scanner.advance sc;
+      if not (Scanner.eat sc '/') then loop ()
     in
     loop ();
     skip_trivia lx
   end
 
+(* The token at the cursor, which is not at end of input. *)
+let token lx sc =
+  match Scanner.peek sc with
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' -> (
+      let word = Scanner.ident sc in
+      match Scanner.keyword_spelling word with
+      | ( "declare" | "fixed" | "type" | "endtype" | "initially" | "do" | "end"
+        | "while" | "operation" | "accepts" | "returns" | "microop" | "if"
+        | "then" | "else" | "goto" | "call" | "return" | "error" | "procedure"
+        | "xor" | "nand" | "nor" | "nxor" | "mod" | "not" | "neg" | "shl"
+        | "shr" | "sar" | "rol" | "ror" ) as k ->
+          Kw k
+      | _ -> Ident word)
+  | '0' .. '9' -> Number (Scanner.number sc Diag.Lexing Int64.of_string)
+  | '(' -> Scanner.advance sc; Lparen
+  | ')' -> Scanner.advance sc; Rparen
+  | ',' -> Scanner.advance sc; Comma
+  | ';' -> Scanner.advance sc; Semi
+  | ':' -> Scanner.advance sc; Colon
+  | '.' -> Scanner.advance sc; Dot
+  | '=' -> Scanner.advance sc; Eq
+  | '^' ->
+      Scanner.advance sc;
+      if Scanner.eat sc '=' then Ne else err lx "expected '^='"
+  | '<' ->
+      Scanner.advance sc;
+      if Scanner.eat sc '>' then Ne
+      else if Scanner.eat sc '=' then Le
+      else Lt
+  | '>' ->
+      Scanner.advance sc;
+      if Scanner.eat sc '=' then Ge else Gt
+  | '+' -> Scanner.advance sc; Plus
+  | '-' -> Scanner.advance sc; Minus
+  | '*' -> Scanner.advance sc; Star
+  | '/' -> Scanner.advance sc; Slash
+  | '&' -> Scanner.advance sc; Amp
+  | '|' -> Scanner.advance sc; Bar
+  | c -> err lx "unexpected character '%c'" c
+
 let scan lx =
   let sc = lx.sc in
   skip_trivia lx;
   let start = Scanner.pos sc in
-  let fin tok =
-    lx.tok <- tok;
-    lx.tok_loc <- Scanner.loc_from sc start
-  in
-  match Scanner.peek sc with
-  | None -> fin Eof
-  | Some c when Scanner.is_ident_start c ->
-      let word = Scanner.ident sc in
-      let lower = String.lowercase_ascii word in
-      if List.mem lower keywords then fin (Kw lower) else fin (Ident word)
-  | Some c when Scanner.is_digit c ->
-      let s = Scanner.take_while sc Scanner.is_alnum in
-      let v =
-        try Int64.of_string s with Failure _ -> err lx "malformed number %S" s
-      in
-      fin (Number v)
-  | Some '(' -> Scanner.advance sc; fin Lparen
-  | Some ')' -> Scanner.advance sc; fin Rparen
-  | Some ',' -> Scanner.advance sc; fin Comma
-  | Some ';' -> Scanner.advance sc; fin Semi
-  | Some ':' -> Scanner.advance sc; fin Colon
-  | Some '.' -> Scanner.advance sc; fin Dot
-  | Some '=' -> Scanner.advance sc; fin Eq
-  | Some '^' ->
-      Scanner.advance sc;
-      if Scanner.eat sc '=' then fin Ne else err lx "expected '^='"
-  | Some '<' ->
-      Scanner.advance sc;
-      if Scanner.eat sc '>' then fin Ne
-      else if Scanner.eat sc '=' then fin Le
-      else fin Lt
-  | Some '>' ->
-      Scanner.advance sc;
-      if Scanner.eat sc '=' then fin Ge else fin Gt
-  | Some '+' -> Scanner.advance sc; fin Plus
-  | Some '-' -> Scanner.advance sc; fin Minus
-  | Some '*' -> Scanner.advance sc; fin Star
-  | Some '/' -> Scanner.advance sc; fin Slash
-  | Some '&' -> Scanner.advance sc; fin Amp
-  | Some '|' -> Scanner.advance sc; fin Bar
-  | Some c -> err lx "unexpected character '%c'" c
+  lx.tok <- (if Scanner.eof sc then Eof else token lx sc);
+  lx.tok_loc <- Scanner.loc_from sc start
 
 let make ?(file = "<empl>") src =
   let lx = { sc = Scanner.make ~file src; tok = Eof; tok_loc = Loc.dummy } in

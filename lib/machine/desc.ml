@@ -121,6 +121,7 @@ type t = {
   d_digest : string;  (* hex digest of every field above; see [make] *)
   (* caches *)
   by_name : (string, reg) Hashtbl.t;
+  by_lower_name : (string, reg) Hashtbl.t;
   by_class : (string, reg list) Hashtbl.t;
   t_by_name : (string, template) Hashtbl.t;
 }
@@ -140,6 +141,9 @@ let reg t id =
 let reg_name t id = (reg t id).r_name
 
 let find_reg t name = Hashtbl.find_opt t.by_name name
+
+let find_reg_ci t name =
+  Hashtbl.find_opt t.by_lower_name (String.lowercase_ascii name)
 
 let get_reg t name =
   match find_reg t name with
@@ -356,6 +360,12 @@ let make ~name ~word ~addr ~phases ~regs ~units ~fields ~templates ~cond_caps
   let d_regs = Array.of_list regs in
   let by_name = Hashtbl.create 64 in
   Array.iter (fun r -> Hashtbl.replace by_name r.r_name r) d_regs;
+  let by_lower_name = Hashtbl.create 64 in
+  Array.iter
+    (fun r ->
+      let l = String.lowercase_ascii r.r_name in
+      if not (Hashtbl.mem by_lower_name l) then Hashtbl.add by_lower_name l r)
+    d_regs;
   let by_class = Hashtbl.create 16 in
   Array.iter
     (fun r ->
@@ -409,6 +419,7 @@ let make ~name ~word ~addr ~phases ~regs ~units ~fields ~templates ~cond_caps
         d_note = note;
         d_digest;
         by_name;
+        by_lower_name;
         by_class;
         t_by_name = Hashtbl.create 64;
       }

@@ -129,6 +129,7 @@ type t = {
       (** hex digest of every field given to {!make}, taken once there:
           two descriptions with equal digests describe the same machine *)
   by_name : (string, reg) Hashtbl.t;  (** lookup cache; use {!find_reg} *)
+  by_lower_name : (string, reg) Hashtbl.t;  (** cache; use {!find_reg_ci} *)
   by_class : (string, reg list) Hashtbl.t;  (** cache; use {!regs_of_class} *)
   t_by_name : (string, template) Hashtbl.t;  (** cache; use {!find_template} *)
 }
@@ -174,6 +175,10 @@ val reg : t -> int -> reg
 
 val reg_name : t -> int -> string
 val find_reg : t -> string -> reg option
+
+val find_reg_ci : t -> string -> reg option
+(** The first register whose name equals [name] ignoring ASCII case, as
+    the language frontends name registers. *)
 
 val get_reg : t -> string -> reg
 (** @raise Invalid_argument when the register does not exist. *)

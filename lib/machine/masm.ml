@@ -42,8 +42,8 @@ let err st fmt = Diag.error ~loc:(Scanner.here st.sc) Diag.Assembly fmt
 
 let rec skip st =
   Scanner.skip_spaces st.sc;
-  if Scanner.peek st.sc = Some ';' then begin
-    let _ : string = Scanner.take_while st.sc (fun c -> c <> '\n') in
+  if Scanner.peek st.sc = ';' then begin
+    Scanner.skip_line st.sc;
     skip st
   end
 
@@ -60,21 +60,17 @@ let expect_str st s =
 let ident st =
   skip st;
   match Scanner.peek st.sc with
-  | Some c when Scanner.is_ident_start c -> Scanner.ident st.sc
-  | Some c -> err st "expected identifier, found '%c'" c
-  | None -> err st "expected identifier, found end of input"
+  | _ when Scanner.eof st.sc -> err st "expected identifier, found end of input"
+  | c when Scanner.is_ident_start c -> Scanner.ident st.sc
+  | c -> err st "expected identifier, found '%c'" c
 
 let number st =
   skip st;
   let neg = Scanner.eat st.sc '-' in
-  match Scanner.peek st.sc with
-  | Some c when Scanner.is_digit c ->
-      let s = Scanner.take_while st.sc (fun ch -> Scanner.is_alnum ch) in
-      let v =
-        try int_of_string s with Failure _ -> err st "malformed number %S" s
-      in
-      if neg then -v else v
-  | Some _ | None -> err st "expected number"
+  if Scanner.is_digit (Scanner.peek st.sc) then
+    let v = Scanner.number st.sc Diag.Assembly int_of_string in
+    if neg then -v else v
+  else err st "expected number"
 
 let reg_by_name st name =
   match Desc.find_reg st.d name with
@@ -132,9 +128,8 @@ let parse_mask st s =
 
 let target st =
   skip st;
-  match Scanner.peek st.sc with
-  | Some c when Scanner.is_digit c -> T_addr (number st)
-  | _ -> T_label (ident st)
+  if Scanner.is_digit (Scanner.peek st.sc) then T_addr (number st)
+  else T_label (ident st)
 
 (* Flags are the single letters C/V/Z/N/U; machine models must not name a
    register with a bare flag letter, so the first identifier decides the
@@ -157,12 +152,12 @@ let cond st =
           let r = reg_by_name st name in
           skip st;
           match Scanner.peek st.sc with
-          | Some '=' ->
+          | '=' ->
               Scanner.advance st.sc;
               if number st <> 0 then
                 err st "only comparison with 0 is supported";
               Desc.C_reg_zero (r, true)
-          | Some '<' when Scanner.peek2 st.sc = Some '>' ->
+          | '<' when Scanner.peek2 st.sc = '>' ->
               Scanner.advance st.sc;
               Scanner.advance st.sc;
               if number st <> 0 then
@@ -213,10 +208,10 @@ let instruction st =
   expect st '[';
   let ops = ref [] in
   skip st;
-  if Scanner.peek st.sc <> Some ']' then begin
+  if Scanner.peek st.sc <> ']' then begin
     ops := [ microop st ];
     skip st;
-    while Scanner.peek st.sc = Some '|' do
+    while Scanner.peek st.sc = '|' do
       Scanner.advance st.sc;
       ops := microop st :: !ops;
       skip st
@@ -225,7 +220,7 @@ let instruction st =
   expect st ']';
   skip st;
   let next =
-    if Scanner.peek st.sc = Some '-' && Scanner.peek2 st.sc = Some '>' then begin
+    if Scanner.peek st.sc = '-' && Scanner.peek2 st.sc = '>' then begin
       Scanner.advance st.sc;
       Scanner.advance st.sc;
       seqspec st
@@ -251,17 +246,16 @@ let parse (d : Desc.t) ?(file = "<masm>") src =
     skip st;
     if not (Scanner.eof st.sc) then begin
       (match Scanner.peek st.sc with
-      | Some '[' -> begin
+      | '[' -> begin
           items := instruction st :: !items;
           incr count
         end
-      | Some c when Scanner.is_ident_start c ->
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
           let name = ident st in
           expect st ':';
           if Hashtbl.mem labels name then err st "duplicate label %S" name;
           Hashtbl.replace labels name !count
-      | Some c -> err st "unexpected character '%c'" c
-      | None -> ());
+      | c -> err st "unexpected character '%c'" c);
       loop ()
     end
   in

@@ -52,36 +52,38 @@ let lex ~file src =
   let emit tk tloc = toks := { tk; tloc } :: !toks in
   let rec skip () =
     Scanner.skip_spaces s;
-    match Scanner.peek s with
-    | Some '#' ->
-        let _ = Scanner.take_while s (fun c -> c <> '\n') in
-        skip ()
-    | _ -> ()
+    if Scanner.peek s = '#' then begin
+      Scanner.skip_line s;
+      skip ()
+    end
   in
   let lex_string start =
     Scanner.advance s;
     let buf = Buffer.create 32 in
+    (* The next character, consumed; the literal must not end first. *)
+    let next () =
+      if Scanner.eof s then
+        Diag.error ~loc:(Scanner.loc_from s start) Diag.Lexing
+          "unterminated string literal";
+      let c = Scanner.peek s in
+      Scanner.advance s;
+      c
+    in
     let rec loop () =
-      match Scanner.next s with
-      | None ->
-          Diag.error ~loc:(Scanner.loc_from s start) Diag.Lexing
-            "unterminated string literal"
-      | Some '"' -> ()
-      | Some '\\' -> (
-          match Scanner.next s with
-          | Some '\\' -> Buffer.add_char buf '\\'; loop ()
-          | Some '"' -> Buffer.add_char buf '"'; loop ()
-          | Some 'n' -> Buffer.add_char buf '\n'; loop ()
-          | Some c ->
+      match next () with
+      | '"' -> ()
+      | '\\' -> (
+          match next () with
+          | '\\' -> Buffer.add_char buf '\\'; loop ()
+          | '"' -> Buffer.add_char buf '"'; loop ()
+          | 'n' -> Buffer.add_char buf '\n'; loop ()
+          | c ->
               Diag.error ~loc:(Scanner.loc_from s start) Diag.Lexing
-                "unknown escape '\\%c' in string literal" c
-          | None ->
-              Diag.error ~loc:(Scanner.loc_from s start) Diag.Lexing
-                "unterminated string literal")
-      | Some '\n' ->
+                "unknown escape '\\%c' in string literal" c)
+      | '\n' ->
           Diag.error ~loc:(Scanner.loc_from s start) Diag.Lexing
             "newline in string literal"
-      | Some c -> Buffer.add_char buf c; loop ()
+      | c -> Buffer.add_char buf c; loop ()
     in
     loop ();
     emit (Tstr (Buffer.contents buf)) (Scanner.loc_from s start)
@@ -89,7 +91,7 @@ let lex ~file src =
   let lex_int start =
     let text =
       match (Scanner.peek s, Scanner.peek2 s) with
-      | Some '0', Some ('x' | 'X') ->
+      | '0', ('x' | 'X') ->
           Scanner.advance s;
           Scanner.advance s;
           let digits =
@@ -111,18 +113,18 @@ let lex ~file src =
     skip ();
     let start = Scanner.pos s in
     match Scanner.peek s with
-    | None -> emit Teof (Scanner.here s)
-    | Some '"' -> lex_string start; loop ()
-    | Some c when Scanner.is_digit c -> lex_int start; loop ()
-    | Some c when Scanner.is_ident_start c ->
+    | _ when Scanner.eof s -> emit Teof (Scanner.here s)
+    | '"' -> lex_string start; loop ()
+    | '0' .. '9' -> lex_int start; loop ()
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
         let id = Scanner.ident s in
         emit (Tident id) (Scanner.loc_from s start);
         loop ()
-    | Some c when is_punct c ->
+    | c when is_punct c ->
         Scanner.advance s;
         emit (Tpunct c) (Scanner.loc_from s start);
         loop ()
-    | Some c -> Diag.error ~loc:(Scanner.here s) Diag.Lexing "stray character %C" c
+    | c -> Diag.error ~loc:(Scanner.here s) Diag.Lexing "stray character %C" c
   in
   loop ();
   Array.of_list (List.rev !toks)

@@ -21,15 +21,11 @@ type env = {
 
 let canon = String.lowercase_ascii
 
-let machine_reg d name =
-  let target = canon name in
-  List.find_opt (fun r -> canon r.Desc.r_name = target) (Desc.regs d)
-
 let make_env d (p : Ast.program) =
   let aliases =
     List.map
       (fun (a, r, loc) ->
-        (match machine_reg d r with
+        (match Desc.find_reg_ci d r with
         | Some _ -> ()
         | None ->
             Diag.error ~loc Diag.Semantic "machine %s has no register %S"
@@ -52,7 +48,7 @@ let resolve env loc name =
     | Some r -> r
     | None -> name
   in
-  match machine_reg env.d name with
+  match Desc.find_reg_ci env.d name with
   | Some r -> Mir.Phys r.Desc.r_id
   | None ->
       Diag.error ~loc Diag.Semantic

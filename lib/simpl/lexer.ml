@@ -29,10 +29,6 @@ type token =
   | Ge
   | Eof
 
-let keywords =
-  [ "program"; "begin"; "end"; "if"; "then"; "else"; "while"; "do"; "for";
-    "to"; "case"; "of"; "procedure"; "call"; "alias"; "read"; "write" ]
-
 type t = {
   sc : Scanner.t;
   mutable tok : token;
@@ -41,73 +37,59 @@ type t = {
 
 let err lx fmt = Diag.error ~loc:(Scanner.here lx.sc) Diag.Lexing fmt
 
-(* `comment ... ;` is skipped entirely, as in the paper's examples. *)
-let rec skip_trivia sc =
-  Scanner.skip_spaces sc;
+(* The token at the cursor, which is not at end of input. *)
+let token lx sc =
   match Scanner.peek sc with
-  | Some c when Scanner.is_ident_start c ->
-      let save = (sc.Scanner.offset, sc.Scanner.line, sc.Scanner.col) in
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' -> (
       let word = Scanner.ident sc in
-      if String.lowercase_ascii word = "comment" then begin
-        let _ : string = Scanner.take_while sc (fun ch -> ch <> ';') in
-        let _ = Scanner.eat sc ';' in
-        skip_trivia sc
-      end
-      else begin
-        let o, l, c2 = save in
-        sc.Scanner.offset <- o;
-        sc.Scanner.line <- l;
-        sc.Scanner.col <- c2
-      end
-  | Some _ | None -> ()
+      match Scanner.keyword_spelling word with
+      | ( "program" | "begin" | "end" | "if" | "then" | "else" | "while" | "do"
+        | "for" | "to" | "case" | "of" | "procedure" | "call" | "alias"
+        | "read" | "write" | "comment" ) as k ->
+          Kw k
+      | _ -> Ident word)
+  | '0' .. '9' -> Number (Scanner.number sc Diag.Lexing Int64.of_string)
+  | '-' ->
+      Scanner.advance sc;
+      if Scanner.eat sc '>' then Arrow else Minus
+  | ';' -> Scanner.advance sc; Semi
+  | '(' -> Scanner.advance sc; Lparen
+  | ')' -> Scanner.advance sc; Rparen
+  | '+' -> Scanner.advance sc; Plus
+  | '&' -> Scanner.advance sc; Amp
+  | '|' -> Scanner.advance sc; Bar
+  | '#' -> Scanner.advance sc; Hash
+  | '~' -> Scanner.advance sc; Tilde
+  | '^' ->
+      Scanner.advance sc;
+      if Scanner.eat sc '^' then Caret2 else Caret
+  | ':' ->
+      Scanner.advance sc;
+      if Scanner.eat sc '=' then Assign else err lx "expected ':='"
+  | '=' -> Scanner.advance sc; Eq
+  | '<' ->
+      Scanner.advance sc;
+      if Scanner.eat sc '>' then Ne
+      else if Scanner.eat sc '=' then Le
+      else Lt
+  | '>' ->
+      Scanner.advance sc;
+      if Scanner.eat sc '=' then Ge else Gt
+  | c -> err lx "unexpected character '%c'" c
 
-let scan_token lx =
+(* `comment ... ;` is skipped entirely, as in the paper's examples. *)
+let rec scan_token lx =
   let sc = lx.sc in
-  skip_trivia sc;
+  Scanner.skip_spaces sc;
   let start = Scanner.pos sc in
-  let fin tok =
-    lx.tok <- tok;
-    lx.tok_loc <- Scanner.loc_from sc start
-  in
-  match Scanner.peek sc with
-  | None -> fin Eof
-  | Some c when Scanner.is_ident_start c ->
-      let word = Scanner.ident sc in
-      let lower = String.lowercase_ascii word in
-      if List.mem lower keywords then fin (Kw lower) else fin (Ident word)
-  | Some c when Scanner.is_digit c ->
-      let s = Scanner.take_while sc Scanner.is_alnum in
-      let v =
-        try Int64.of_string s with Failure _ -> err lx "malformed number %S" s
-      in
-      fin (Number v)
-  | Some '-' ->
-      Scanner.advance sc;
-      if Scanner.eat sc '>' then fin Arrow else fin Minus
-  | Some ';' -> Scanner.advance sc; fin Semi
-  | Some '(' -> Scanner.advance sc; fin Lparen
-  | Some ')' -> Scanner.advance sc; fin Rparen
-  | Some '+' -> Scanner.advance sc; fin Plus
-  | Some '&' -> Scanner.advance sc; fin Amp
-  | Some '|' -> Scanner.advance sc; fin Bar
-  | Some '#' -> Scanner.advance sc; fin Hash
-  | Some '~' -> Scanner.advance sc; fin Tilde
-  | Some '^' ->
-      Scanner.advance sc;
-      if Scanner.eat sc '^' then fin Caret2 else fin Caret
-  | Some ':' ->
-      Scanner.advance sc;
-      if Scanner.eat sc '=' then fin Assign else err lx "expected ':='"
-  | Some '=' -> Scanner.advance sc; fin Eq
-  | Some '<' ->
-      Scanner.advance sc;
-      if Scanner.eat sc '>' then fin Ne
-      else if Scanner.eat sc '=' then fin Le
-      else fin Lt
-  | Some '>' ->
-      Scanner.advance sc;
-      if Scanner.eat sc '=' then fin Ge else fin Gt
-  | Some c -> err lx "unexpected character '%c'" c
+  match if Scanner.eof sc then Eof else token lx sc with
+  | Kw "comment" ->
+      Scanner.skip_while sc (fun ch -> ch <> ';');
+      let _ : bool = Scanner.eat sc ';' in
+      scan_token lx
+  | tok ->
+      lx.tok <- tok;
+      lx.tok_loc <- Scanner.loc_from sc start
 
 let make ?(file = "<simpl>") src =
   let lx =

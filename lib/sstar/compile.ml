@@ -47,10 +47,7 @@ let canon = String.lowercase_ascii
 let err ?(loc = Loc.dummy) fmt = Diag.error ~loc Diag.Instantiation fmt
 
 let machine_reg env loc name =
-  let target = canon name in
-  match
-    List.find_opt (fun r -> canon r.Desc.r_name = target) (Desc.regs env.d)
-  with
+  match Desc.find_reg_ci env.d name with
   | Some r -> r.Desc.r_id
   | None -> err ~loc "machine %s has no register %S" env.d.Desc.d_name name
 

@@ -14,19 +14,11 @@ type token =
   | Semi | Comma | Colon | Dot | DotDot
   | Lparen | Rparen | Lbrack | Rbrack | Lbrace | Rbrace
   | Eq | Ne | Lt | Le | Gt | Ge
-  | Plus | Minus | Amp | Bar | Hash | Tilde | Star
+  | Plus | Minus | Amp | Bar | Tilde | Star
   | Caret | Caret2
   | Bang  (* '!' flag negation *)
   | Imp  (* => *)
   | Eof
-
-let keywords =
-  [ "program"; "var"; "const"; "syn"; "at"; "regs"; "mem"; "ptr"; "of";
-    "bit"; "seq"; "array"; "tuple"; "stack"; "with"; "begin"; "end";
-    "cobegin"; "coend"; "cocycle"; "dur"; "do"; "region"; "if"; "then";
-    "elif"; "else"; "fi"; "while"; "od"; "repeat"; "until"; "inv"; "call";
-    "return"; "proc"; "uses"; "push"; "pop"; "assert"; "pre"; "post";
-    "and"; "or"; "not"; "true"; "false"; "dec"; "hex"; "bin" ]
 
 type t = { sc : Scanner.t; mutable tok : token; mutable tok_loc : Loc.t }
 
@@ -35,83 +27,75 @@ let err lx fmt = Diag.error ~loc:(Scanner.here lx.sc) Diag.Lexing fmt
 let rec skip_trivia lx =
   let sc = lx.sc in
   Scanner.skip_spaces sc;
+  if Scanner.eat sc '#' then begin
+    Scanner.skip_while sc (fun c -> c <> '#');
+    if not (Scanner.eat sc '#') then err lx "unterminated '#' comment";
+    skip_trivia lx
+  end
+  else if Scanner.peek sc = '-' && Scanner.peek2 sc = '-' then begin
+    Scanner.skip_line sc;
+    skip_trivia lx
+  end
+
+(* The token at the cursor, which is not at end of input. *)
+let token lx sc =
   match Scanner.peek sc with
-  | Some '#' ->
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' -> (
+      let word = Scanner.ident sc in
+      match Scanner.keyword_spelling word with
+      | ( "program" | "var" | "const" | "syn" | "at" | "regs" | "mem" | "ptr"
+        | "of" | "bit" | "seq" | "array" | "tuple" | "stack" | "with"
+        | "begin" | "end" | "cobegin" | "coend" | "cocycle" | "dur" | "do"
+        | "region" | "if" | "then" | "elif" | "else" | "fi" | "while" | "od"
+        | "repeat" | "until" | "inv" | "call" | "return" | "proc" | "uses"
+        | "push" | "pop" | "assert" | "pre" | "post" | "and" | "or" | "not"
+        | "true" | "false" | "dec" | "hex" | "bin" ) as k ->
+          Kw k
+      | _ -> Ident word)
+  | '0' .. '9' -> Number (Scanner.number sc Diag.Lexing Int64.of_string)
+  | ':' ->
       Scanner.advance sc;
-      let rec loop () =
-        match Scanner.next sc with
-        | None -> err lx "unterminated '#' comment"
-        | Some '#' -> ()
-        | Some _ -> loop ()
-      in
-      loop ();
-      skip_trivia lx
-  | Some '-' when Scanner.peek2 sc = Some '-' ->
-      let _ : string = Scanner.take_while sc (fun c -> c <> '\n') in
-      skip_trivia lx
-  | Some _ | None -> ()
+      if Scanner.eat sc '=' then Assign else Colon
+  | ';' -> Scanner.advance sc; Semi
+  | ',' -> Scanner.advance sc; Comma
+  | '.' ->
+      Scanner.advance sc;
+      if Scanner.eat sc '.' then DotDot else Dot
+  | '(' -> Scanner.advance sc; Lparen
+  | ')' -> Scanner.advance sc; Rparen
+  | '[' -> Scanner.advance sc; Lbrack
+  | ']' -> Scanner.advance sc; Rbrack
+  | '{' -> Scanner.advance sc; Lbrace
+  | '}' -> Scanner.advance sc; Rbrace
+  | '=' ->
+      Scanner.advance sc;
+      if Scanner.eat sc '>' then Imp else Eq
+  | '<' ->
+      Scanner.advance sc;
+      if Scanner.eat sc '>' then Ne
+      else if Scanner.eat sc '=' then Le
+      else Lt
+  | '>' ->
+      Scanner.advance sc;
+      if Scanner.eat sc '=' then Ge else Gt
+  | '+' -> Scanner.advance sc; Plus
+  | '-' -> Scanner.advance sc; Minus
+  | '&' -> Scanner.advance sc; Amp
+  | '|' -> Scanner.advance sc; Bar
+  | '*' -> Scanner.advance sc; Star
+  | '~' -> Scanner.advance sc; Tilde
+  | '!' -> Scanner.advance sc; Bang
+  | '^' ->
+      Scanner.advance sc;
+      if Scanner.eat sc '^' then Caret2 else Caret
+  | c -> err lx "unexpected character '%c'" c
 
 let scan lx =
   let sc = lx.sc in
   skip_trivia lx;
   let start = Scanner.pos sc in
-  let fin tok =
-    lx.tok <- tok;
-    lx.tok_loc <- Scanner.loc_from sc start
-  in
-  match Scanner.peek sc with
-  | None -> fin Eof
-  | Some c when Scanner.is_ident_start c ->
-      let word = Scanner.ident sc in
-      let lower = String.lowercase_ascii word in
-      if List.mem lower keywords then fin (Kw lower) else fin (Ident word)
-  | Some c when Scanner.is_digit c ->
-      let s = Scanner.take_while sc Scanner.is_alnum in
-      let v =
-        try Int64.of_string s with Failure _ -> err lx "malformed number %S" s
-      in
-      fin (Number v)
-  | Some ':' ->
-      Scanner.advance sc;
-      if Scanner.eat sc '=' then fin Assign else fin Colon
-  | Some ';' -> Scanner.advance sc; fin Semi
-  | Some ',' -> Scanner.advance sc; fin Comma
-  | Some '.' ->
-      Scanner.advance sc;
-      if Scanner.eat sc '.' then fin DotDot else fin Dot
-  | Some '(' -> Scanner.advance sc; fin Lparen
-  | Some ')' -> Scanner.advance sc; fin Rparen
-  | Some '[' -> Scanner.advance sc; fin Lbrack
-  | Some ']' -> Scanner.advance sc; fin Rbrack
-  | Some '{' -> Scanner.advance sc; fin Lbrace
-  | Some '}' -> Scanner.advance sc; fin Rbrace
-  | Some '=' ->
-      Scanner.advance sc;
-      if Scanner.eat sc '>' then fin Imp else fin Eq
-  | Some '<' ->
-      Scanner.advance sc;
-      if Scanner.eat sc '>' then fin Ne
-      else if Scanner.eat sc '=' then fin Le
-      else fin Lt
-  | Some '>' ->
-      Scanner.advance sc;
-      if Scanner.eat sc '=' then fin Ge else fin Gt
-  | Some '+' -> Scanner.advance sc; fin Plus
-  | Some '-' -> Scanner.advance sc; fin Minus
-  | Some '&' -> Scanner.advance sc; fin Amp
-  | Some '|' -> Scanner.advance sc; fin Bar
-  | Some '*' -> Scanner.advance sc; fin Star
-  | Some '~' -> Scanner.advance sc; fin Tilde
-  | Some '!' -> Scanner.advance sc; fin Bang
-  | Some '^' ->
-      Scanner.advance sc;
-      if Scanner.eat sc '^' then fin Caret2 else fin Caret
-  | Some c -> err lx "unexpected character '%c'" c
-
-(* '#' doubles as the xor operator inside expressions; the comment rule
-   above would eat it.  S(M) programs therefore spell xor as 'xor'?  No:
-   S* uses '#' only for comments; xor is the keyword-free token below. *)
-let _ = Hash
+  lx.tok <- (if Scanner.eof sc then Eof else token lx sc);
+  lx.tok_loc <- Scanner.loc_from sc start
 
 let make ?(file = "<sstar>") src =
   let lx = { sc = Scanner.make ~file src; tok = Eof; tok_loc = Loc.dummy } in
@@ -148,7 +132,6 @@ let token_name = function
   | Minus -> "'-'"
   | Amp -> "'&'"
   | Bar -> "'|'"
-  | Hash -> "'#'"
   | Tilde -> "'~'"
   | Star -> "'*'"
   | Caret -> "'^'"

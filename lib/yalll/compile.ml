@@ -23,10 +23,6 @@ type env = {
 
 let canon = String.lowercase_ascii
 
-let machine_reg d name =
-  let target = canon name in
-  List.find_opt (fun r -> canon r.Desc.r_name = target) (Desc.regs d)
-
 let fresh_vreg env name =
   let v = env.next_vreg in
   env.next_vreg <- v + 1;
@@ -45,7 +41,7 @@ let make_env d (p : Ast.program) =
       let r =
         match dec.Ast.d_binding with
         | Some m -> (
-            match machine_reg d m with
+            match Desc.find_reg_ci d m with
             | Some mr -> Mir.Phys mr.Desc.r_id
             | None ->
                 Diag.error ~loc:dec.Ast.d_loc Diag.Semantic
@@ -64,7 +60,7 @@ let resolve env loc name =
          implicitly-declared symbolic variables *)
       match canon name with
       | "mar" | "mbr" -> (
-          match machine_reg env.d name with
+          match Desc.find_reg_ci env.d name with
           | Some mr ->
               let r = Mir.Phys mr.Desc.r_id in
               Hashtbl.replace env.regs (canon name) r;
@@ -194,7 +190,7 @@ let compile_instr env b loc (i : Ast.instr) =
       | Some v ->
           (* exit-with-value: the result lands in the machine's R0 *)
           let r0 =
-            match machine_reg env.d "R0" with
+            match Desc.find_reg_ci env.d "R0" with
             | Some r -> Mir.Phys r.Desc.r_id
             | None ->
                 Diag.error ~loc Diag.Semantic "machine %s has no R0 register"

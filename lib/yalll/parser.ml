@@ -25,37 +25,28 @@ let err st fmt = Diag.error ~loc:(Scanner.here st.sc) Diag.Parsing fmt
 
 let skip_line_junk st =
   Scanner.skip_hspaces st.sc;
-  if Scanner.peek st.sc = Some ';' then
-    let _ : string = Scanner.take_while st.sc (fun c -> c <> '\n') in
-    ()
+  if Scanner.peek st.sc = ';' then Scanner.skip_line st.sc
 
 let at_eol st =
   skip_line_junk st;
-  match Scanner.peek st.sc with None -> true | Some '\n' -> true | Some _ -> false
+  Scanner.eof st.sc || Scanner.peek st.sc = '\n'
 
 let next_line st =
   if not (at_eol st) then err st "trailing characters on line";
-  (match Scanner.peek st.sc with
-  | Some '\n' -> Scanner.advance st.sc
-  | Some _ | None -> ())
+  ignore (Scanner.eat st.sc '\n')
 
 let ident st =
   Scanner.skip_hspaces st.sc;
-  match Scanner.peek st.sc with
-  | Some c when Scanner.is_ident_start c -> Scanner.ident st.sc
-  | _ -> err st "expected identifier"
+  if Scanner.is_ident_start (Scanner.peek st.sc) then Scanner.ident st.sc
+  else err st "expected identifier"
 
 let number st =
   Scanner.skip_hspaces st.sc;
   let neg = Scanner.eat st.sc '-' in
-  match Scanner.peek st.sc with
-  | Some c when Scanner.is_digit c ->
-      let s = Scanner.take_while st.sc (fun ch -> Scanner.is_alnum ch) in
-      let v =
-        try Int64.of_string s with Failure _ -> err st "malformed number %S" s
-      in
-      if neg then Int64.neg v else v
-  | _ -> err st "expected number"
+  if Scanner.is_digit (Scanner.peek st.sc) then
+    let v = Scanner.number st.sc Diag.Parsing Int64.of_string in
+    if neg then Int64.neg v else v
+  else err st "expected number"
 
 let comma st =
   Scanner.skip_hspaces st.sc;
@@ -64,9 +55,8 @@ let comma st =
 let operand st : Ast.operand =
   Scanner.skip_hspaces st.sc;
   match Scanner.peek st.sc with
-  | Some c when Scanner.is_digit c -> Ast.Lit (number st)
-  | Some '-' -> Ast.Lit (number st)
-  | Some '#' ->
+  | '0' .. '9' | '-' -> Ast.Lit (number st)
+  | '#' ->
       Scanner.advance st.sc;
       Ast.Lit (number st)
   | _ -> Ast.Reg (ident st)
@@ -106,11 +96,11 @@ let jump st =
     let r = ident st in
     Scanner.skip_hspaces st.sc;
     match Scanner.peek st.sc with
-    | Some '=' ->
+    | '=' ->
         Scanner.advance st.sc;
         if number st <> 0L then err st "only comparison with 0 is supported";
         Ast.Jump_if (target, Ast.Eq_zero r)
-    | Some '<' when Scanner.peek2 st.sc = Some '>' ->
+    | '<' when Scanner.peek2 st.sc = '>' ->
         Scanner.advance st.sc;
         Scanner.advance st.sc;
         if number st <> 0L then err st "only comparison with 0 is supported";
@@ -195,11 +185,11 @@ let parse ?(file = "<yalll>") src : Ast.program =
   let rec line () =
     skip_line_junk st;
     match Scanner.peek st.sc with
-    | None -> ()
-    | Some '\n' ->
+    | _ when Scanner.eof st.sc -> ()
+    | '\n' ->
         Scanner.advance st.sc;
         line ()
-    | Some c when Scanner.is_ident_start c ->
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
         let start = Scanner.pos st.sc in
         let word = Scanner.ident st.sc in
         let loc () = Scanner.loc_from st.sc start in
@@ -219,13 +209,12 @@ let parse ?(file = "<yalll>") src : Ast.program =
              items := Ast.Label (word, loc ()) :: !items;
              (* an instruction may follow on the same line *)
              skip_line_junk st;
-             match Scanner.peek st.sc with
-             | Some c2 when Scanner.is_ident_start c2 ->
-                 let start2 = Scanner.pos st.sc in
-                 let m = Scanner.ident st.sc in
-                 let i = instr st m in
-                 items := Ast.Instr (i, Scanner.loc_from st.sc start2) :: !items
-             | Some _ | None -> ()
+             if Scanner.is_ident_start (Scanner.peek st.sc) then begin
+               let start2 = Scanner.pos st.sc in
+               let m = Scanner.ident st.sc in
+               let i = instr st m in
+               items := Ast.Instr (i, Scanner.loc_from st.sc start2) :: !items
+             end
            end
            else begin
              let i = instr st word in
@@ -234,7 +223,7 @@ let parse ?(file = "<yalll>") src : Ast.program =
          end);
         next_line st;
         line ()
-    | Some c -> err st "unexpected character '%c'" c
+    | c -> err st "unexpected character '%c'" c
   in
   line ();
   { Ast.decls = List.rev !decls; items = List.rev !items }

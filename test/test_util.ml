@@ -54,17 +54,57 @@ let test_scanner () =
   check_int "col tracked" 1 pos.Loc.col;
   check_bool "eat" true (Scanner.eat sc 'e');
   check_bool "eat wrong" false (Scanner.eat sc 'x');
-  check_bool "peek" true (Scanner.peek sc = Some 'f');
+  check_bool "peek" true (Scanner.peek sc = 'f');
   Scanner.advance sc;
-  check_bool "eof" true (Scanner.eof sc)
+  check_bool "eof" true (Scanner.eof sc);
+  (* at end of input, advance is a no-op and peek reads NUL *)
+  Scanner.advance sc;
+  let pos = Scanner.pos sc in
+  check_int "offset stays" 8 pos.Loc.offset;
+  check_int "col stays" 3 pos.Loc.col;
+  check_bool "peek at eof" true (Scanner.peek sc = '\000');
+  check_bool "eat at eof" false (Scanner.eat sc '\000');
+  (* a NUL byte in the source is a character, not the end *)
+  let sc = Scanner.make ~file:"t" "\000" in
+  check_bool "NUL is not eof" false (Scanner.eof sc);
+  check_bool "eat NUL" true (Scanner.eat sc '\000');
+  (* take_while returns exactly the text it consumed; skip_while stops at
+     the same place without copying it *)
+  let src = "  x1 y\n\n  z" in
+  let a = Scanner.make ~file:"t" src and b = Scanner.make ~file:"t" src in
+  let pred c = c <> 'z' in
+  let text = Scanner.take_while a pred in
+  Scanner.skip_while b pred;
+  check_str "taken text" "  x1 y\n\n  " text;
+  check_bool "same position" true (Scanner.pos a = Scanner.pos b);
+  let pos = Scanner.pos b in
+  check_int "line after skipped newlines" 3 pos.Loc.line;
+  check_int "col after skipped newlines" 3 pos.Loc.col;
+  check_int "offset after skip" (String.length text) pos.Loc.offset;
+  (* one number reader; its diagnostic carries the caller's phase *)
+  let sc = Scanner.make ~file:"t" "0x1F;12ab" in
+  check_bool "number" true (Scanner.number sc Diag.Lexing Int64.of_string = 31L);
+  check_bool "eat ;" true (Scanner.eat sc ';');
+  (match Scanner.number sc Diag.Assembly int_of_string with
+  | exception Diag.Error d ->
+      check_bool "phase" true (d.Diag.phase = Diag.Assembly);
+      check_str "message" "malformed number \"12ab\"" d.Diag.message;
+      check_str "at the end of the text" "t:1.10-10" (Loc.to_string d.Diag.loc)
+  | _ -> Alcotest.fail "12ab read as a number");
+  check_str "keyword spelling folds case" "begin"
+    (Scanner.keyword_spelling "BeGIN");
+  List.iter
+    (fun w ->
+      check_bool ("no copy of " ^ w) true (Scanner.keyword_spelling w == w))
+    [ "begin"; "V0"; "Begin_"; "x1" ]
 
 let test_scanner_hspaces () =
   let sc = Scanner.make ~file:"t" "  \t x\ny" in
   Scanner.skip_hspaces sc;
-  check_bool "stops at x" true (Scanner.peek sc = Some 'x');
+  check_bool "stops at x" true (Scanner.peek sc = 'x');
   Scanner.advance sc;
   Scanner.skip_hspaces sc;
-  check_bool "does not cross newline" true (Scanner.peek sc = Some '\n')
+  check_bool "does not cross newline" true (Scanner.peek sc = '\n')
 
 (* -- tables ------------------------------------------------------------------ *)
 
