@@ -231,12 +231,15 @@ let key_of ~kind ~language ~machine ~options ~use_microops ~source =
   Fingerprint.of_parts
     [ kind; language; machine; options; string_of_bool use_microops; source ]
 
-let cache_key (j : job) =
+(* [opts_id] is [options_id j.j_options], computed once per job: the disk
+   layer reads it too *)
+let job_key ~opts_id (j : job) =
   key_of ~kind:"compile"
     ~language:(Toolkit.language_name j.j_language)
-    ~machine:j.j_machine
-    ~options:(options_id j.j_options)
-    ~use_microops:j.j_use_microops ~source:j.j_source
+    ~machine:j.j_machine ~options:opts_id ~use_microops:j.j_use_microops
+    ~source:j.j_source
+
+let cache_key (j : job) = job_key ~opts_id:(options_id j.j_options) j
 
 let job ?id ?(options = Pipeline.default_options) ?(use_microops = false)
     ?(lint = false) ?(diff = false) ?(validate = false) language ~machine
@@ -742,8 +745,8 @@ let validate_gate (j : job) proof (c : Toolkit.compiled) =
             { Diag.phase = Diag.Verification; loc = Msl_util.Loc.dummy; message }
 
 let compile_job ?(policy = default_policy) ?(faults = no_faults) t (j : job) =
-  let key = (cache_key j :> string) in
   let opts_id = options_id j.j_options in
+  let key = (job_key ~opts_id j :> string) in
   let served ~cached e =
     { o_job = j; o_result = Ok (e.e_compiled, e.e_listing); o_cached = cached }
   in

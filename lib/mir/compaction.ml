@@ -38,10 +38,10 @@ type result = {
   exact : bool;  (* Optimal completed within its node budget *)
 }
 
-(* Sanity check used by tests and enabled on every result: the grouping
-   must respect all dependence deltas and all pairwise conflicts. *)
-let check ~chain d ops groups =
-  let arr = Array.of_list ops in
+(* Is [groups] a schedule of [arr]: every op placed once, every edge of
+   its dependence graph [g] respected, every word conflict-free?  [compact]
+   runs it on every result, against the graph the algorithm used. *)
+let valid (g : Dataflow.graph) d arr groups =
   let n = Array.length arr in
   let place = Array.make n (-1) in
   (* match each placed op back to an unused source index; physical equality
@@ -63,24 +63,26 @@ let check ~chain d ops groups =
           | None -> Diag.error Diag.Compaction "schedule invented an op")
         group)
     groups;
-  let infos, edges = Dataflow.build d arr in
   Array.for_all (fun p -> p >= 0) place
-  && List.for_all
-       (fun (e : Dataflow.edge) ->
-         place.(e.e_dst) - place.(e.e_src)
-         >= Dataflow.min_delta ~chain infos e)
-       edges
+  && Array.for_all2
+       (fun p preds ->
+         List.for_all
+           (fun (e : Dataflow.edge) -> p - place.(e.e_src) >= e.e_delta)
+           preds)
+       place g.Dataflow.g_preds
   && List.for_all
        (fun group ->
-         match Conflict.check_inst d { Inst.ops = group; next = Inst.Next } with
-         | Ok () -> true
-         | Error _ -> false)
+         Result.is_ok (Conflict.check_inst d { Inst.ops = group; next = Inst.Next }))
        groups
+
+let check ~chain d ops groups =
+  let arr = Array.of_list ops in
+  valid (Dataflow.graph ~chain d arr) d arr groups
 
 (* [check] accepts no grouping shorter than the longest dependence chain
    or than a clique of pairwise conflicting ops, one word each. *)
 let lower_bound ~chain d ops =
-  let infos, edges = Dataflow.build d (Array.of_list ops) in
+  let g = Dataflow.graph ~chain d (Array.of_list ops) in
   let clique =
     List.fold_left
       (fun clique op ->
@@ -89,17 +91,26 @@ let lower_bound ~chain d ops =
         else clique)
       [] ops
   in
-  max (Dataflow.critical_path ~chain infos edges) (List.length clique)
+  max (Array.fold_left max 0 g.Dataflow.g_paths) (List.length clique)
 
 let sequential ops = List.map (fun op -> [ op ]) ops
 
+(* Every algorithm below schedules [arr] from its dependence graph [g].  An
+   op is ready for word [k] once each predecessor [e_src] is placed at
+   least [e_delta] words before it: a predecessor placed in word [k]
+   itself is then one that may share it. *)
+let ready (g : Dataflow.graph) place k j =
+  place.(j) = -1
+  && List.for_all
+       (fun (e : Dataflow.edge) ->
+         let p = place.(e.e_src) in
+         p <> -1 && p + e.e_delta <= k)
+       g.g_preds.(j)
+
 (* -- first-come-first-served --------------------------------------------- *)
 
-let fcfs ~chain d ops =
-  let arr = Array.of_list ops in
+let fcfs (g : Dataflow.graph) d arr =
   let n = Array.length arr in
-  let infos, edges = Dataflow.build d arr in
-  let preds = Dataflow.preds_by_dst n edges in
   let place = Array.make n (-1) in
   (* microinstructions under construction: a doubling dynamic array of
      *reversed* op accumulators.  The conflict model is pairwise, so the
@@ -119,23 +130,16 @@ let fcfs ~chain d ops =
     !count - 1
   in
   for j = 0 to n - 1 do
+    (* every predecessor is placed; from [earliest] on, one in the same
+       word is one that may share it *)
     let earliest =
       List.fold_left
-        (fun acc e ->
-          max acc (place.(e.Dataflow.e_src) + Dataflow.min_delta ~chain infos e))
-        0 preds.(j)
-    in
-    let fits k =
-      (* all preds placed in MI k must tolerate sharing *)
-      List.for_all
-        (fun e ->
-          place.(e.Dataflow.e_src) <> k || Dataflow.same_mi_ok ~chain infos e)
-        preds.(j)
-      && Conflict.fits d (mi_get k) arr.(j) = Ok ()
+        (fun acc (e : Dataflow.edge) -> max acc (place.(e.e_src) + e.e_delta))
+        0 g.g_preds.(j)
     in
     let rec scan k =
       if k >= !count then new_mi ()
-      else if fits k then k
+      else if Result.is_ok (Conflict.fits d (mi_get k) arr.(j)) then k
       else scan (k + 1)
     in
     let k = scan earliest in
@@ -146,52 +150,42 @@ let fcfs ~chain d ops =
 
 (* -- critical-path list scheduling --------------------------------------- *)
 
-let critical_path ~chain d ops =
-  let arr = Array.of_list ops in
+(* Fill each word in turn with the ready op of highest priority (longest
+   chain, then source order) that fits it.  The priority is static, so the
+   op indices are sorted by it once and each placement scans that order. *)
+let critical_path (g : Dataflow.graph) d arr =
   let n = Array.length arr in
-  let infos, edges = Dataflow.build d arr in
-  let preds = Dataflow.preds_by_dst n edges in
-  let prio = Dataflow.path_lengths ~chain infos edges in
+  let prio = g.Dataflow.g_paths in
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun a b ->
+      match Int.compare prio.(b) prio.(a) with 0 -> Int.compare a b | c -> c)
+    order;
   let place = Array.make n (-1) in
   let scheduled = ref 0 in
   let groups = ref [] in
   let k = ref 0 in
   while !scheduled < n do
+    (* the word under construction, reversed (see [fcfs]) *)
     let current = ref [] in
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      (* ops ready for MI !k, by descending priority then source order *)
-      let candidates =
-        List.init n Fun.id
-        |> List.filter (fun j ->
-               place.(j) = -1
-               && List.for_all
-                    (fun e ->
-                      let p = place.(e.Dataflow.e_src) in
-                      p <> -1
-                      && p + Dataflow.min_delta ~chain infos e <= !k
-                      && (p <> !k || Dataflow.same_mi_ok ~chain infos e))
-                    preds.(j))
-        |> List.sort (fun a b ->
-               match compare prio.(b) prio.(a) with
-               | 0 -> compare a b
-               | c -> c)
-      in
-      match
-        List.find_opt (fun j -> Conflict.fits d !current arr.(j) = Ok ()) candidates
-      with
-      | Some j ->
-          current := !current @ [ arr.(j) ];
+    let rec pick i =
+      if i < n then begin
+        let j = order.(i) in
+        if ready g place !k j && Result.is_ok (Conflict.fits d !current arr.(j))
+        then begin
+          current := arr.(j) :: !current;
           place.(j) <- !k;
           incr scheduled;
-          progress := true
-      | None -> ()
-    done;
-    if !current = [] && !scheduled < n then
+          pick 0
+        end
+        else pick (i + 1)
+      end
+    in
+    pick 0;
+    if !current = [] then
       (* cannot happen on a DAG, but fail loudly rather than spin *)
       Diag.error Diag.Compaction "list scheduler wedged at cycle %d" !k;
-    groups := !current :: !groups;
+    groups := List.rev !current :: !groups;
     incr k
   done;
   List.rev !groups
@@ -200,15 +194,12 @@ let critical_path ~chain d ops =
 
 let default_node_budget = 300_000
 
-let optimal ~chain ~node_budget d ops =
-  let arr = Array.of_list ops in
+let optimal (g : Dataflow.graph) ~node_budget d arr =
   let n = Array.length arr in
   if n = 0 then ([], 0, true)
   else begin
-    let infos, edges = Dataflow.build d arr in
-    let preds = Dataflow.preds_by_dst n edges in
-    let chains = Dataflow.path_lengths ~chain infos edges in
-    let init = critical_path ~chain d ops in
+    let chains = g.Dataflow.g_paths in
+    let init = critical_path g d arr in
     let best = ref init in
     let best_len = ref (List.length init) in
     let place = Array.make n (-1) in
@@ -241,21 +232,11 @@ let optimal ~chain ~node_budget d ops =
         let cur_count = if current = [] then 0 else 1 in
         if n_closed + max !lb cur_count >= !best_len then ()
         else begin
-          let ready j =
-            place.(j) = -1
-            && List.for_all
-                 (fun e ->
-                   let p = place.(e.Dataflow.e_src) in
-                   p <> -1
-                   && p + Dataflow.min_delta ~chain infos e <= k
-                   && (p <> k || Dataflow.same_mi_ok ~chain infos e))
-                 preds.(j)
-          in
           let current_ops = List.rev_map (fun j -> arr.(j)) current in
           (* extend the current MI with any ready op of larger index *)
           for j = last_idx + 1 to n - 1 do
-            if (not !exhausted) && ready j
-               && Conflict.fits d current_ops arr.(j) = Ok ()
+            if (not !exhausted) && ready g place k j
+               && Result.is_ok (Conflict.fits d current_ops arr.(j))
             then begin
               place.(j) <- k;
               go k (j :: current) (done_ + 1) j mis_rev;
@@ -283,15 +264,19 @@ let compact ?(chain = true) ?(node_budget = default_node_budget) ~algo
      T4 tables and trace rows must not mislabel vertical rows. *)
   let forced_sequential = d.Desc.d_vertical && algo <> Sequential in
   let effective = if d.Desc.d_vertical then Sequential else algo in
+  (* one dependence graph per block: the algorithm schedules from it and
+     the result is checked against it *)
+  let arr = Array.of_list ops in
+  let g = Dataflow.graph ~chain d arr in
   let groups, nodes, exact =
     match effective with
     | Sequential -> (sequential ops, 0, true)
-    | Fcfs -> (fcfs ~chain d ops, 0, true)
-    | Critical_path -> (critical_path ~chain d ops, 0, true)
-    | Optimal -> optimal ~chain ~node_budget d ops
+    | Fcfs -> (fcfs g d arr, 0, true)
+    | Critical_path -> (critical_path g d arr, 0, true)
+    | Optimal -> optimal g ~node_budget d arr
   in
-  let groups = List.filter (fun g -> g <> []) groups in
-  if not (check ~chain d ops groups) then
+  let groups = List.filter (fun ws -> ws <> []) groups in
+  if not (valid g d arr groups) then
     Diag.error Diag.Compaction "%s produced an invalid schedule"
       (algo_name effective);
   if Trace.enabled () then begin

@@ -37,8 +37,9 @@ val default_node_budget : int
 
 val check : chain:bool -> Desc.t -> Inst.op list -> Inst.op list list -> bool
 (** Is the grouping a valid schedule of the ops: every dependence delta
-    respected and every word conflict-free?  Run internally on every
-    result; exposed for the property tests. *)
+    respected and every word conflict-free?  [compact] runs the same check
+    on every result, against the dependence graph it scheduled from;
+    exposed for the superoptimizer's memo and the property tests. *)
 
 val lower_bound : chain:bool -> Desc.t -> Inst.op list -> int
 (** An admissible bound on the words any grouping {!check} accepts needs:

@@ -12,9 +12,10 @@
 
 open Msl_machine
 
-type ekind = Raw | War | Waw | Mem | Flag_raw | Flag_war | Flag_waw
-
-type edge = { e_src : int; e_dst : int; e_kind : ekind }
+(* An edge into an op from an earlier one, [e_src]: the dependent op must
+   be placed at least [e_delta] words later; 0 means the two may share a
+   word. *)
+type edge = { e_src : int; e_delta : int }
 
 let inter a b = List.exists (fun x -> List.mem x b) a
 
@@ -43,123 +44,91 @@ let op_info d (op : Inst.op) =
 (* Do two sorted register lists share an element? *)
 let meets a b = Inst.first_common a b >= 0
 
-(* Dependence edges between ops [i] and [j] with i < j in source order. *)
-let pair_edges infos i j =
-  let a = infos.(i) and b = infos.(j) in
-  let e kind = { e_src = i; e_dst = j; e_kind = kind } in
-  let acc = if a.i_mem && b.i_mem then [ e Mem ] else [] in
-  let acc = if meets a.i_writes b.i_reads then e Raw :: acc else acc in
-  let acc = if meets a.i_reads b.i_writes then e War :: acc else acc in
-  let acc = if meets a.i_writes b.i_writes then e Waw :: acc else acc in
-  let fw = a.i_fwrites and fr = a.i_freads in
-  let acc = if fw land b.i_freads <> 0 then e Flag_raw :: acc else acc in
-  let acc = if fr land b.i_fwrites <> 0 then e Flag_war :: acc else acc in
-  let acc = if fw land b.i_fwrites <> 0 then e Flag_waw :: acc else acc in
-  acc
+(* The least word distance from op [a] to a later op [b], or -1 when [b]
+   does not depend on [a].  Every dependence between the two counts:
 
-let build d (ops : Inst.op array) =
+   - memory, flag RAW and flag WAW never share a word (conservative);
+   - RAW/WAW on registers share only by transport chaining: [chain]
+     enabled and the producer's phase strictly earlier;
+   - WAR (registers or flags): the reader samples the phase-start state,
+     so the writer may share iff it commits in the reader's phase or
+     later. *)
+let delta ~chain a b =
+  let flow = meets a.i_writes b.i_reads || meets a.i_writes b.i_writes in
+  let anti = meets a.i_reads b.i_writes || a.i_freads land b.i_fwrites <> 0 in
+  if
+    (a.i_mem && b.i_mem)
+    || a.i_fwrites land (b.i_freads lor b.i_fwrites) <> 0
+    || (flow && not (chain && a.i_phase < b.i_phase))
+    || (anti && b.i_phase < a.i_phase)
+  then 1
+  else if flow || anti then 0
+  else -1
+
+type graph = { g_preds : edge list array; g_paths : int array }
+
+let graph ~chain d (ops : Inst.op array) =
   let infos = Array.map (op_info d) ops in
-  let edges = ref [] in
   let n = Array.length ops in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      edges := pair_edges infos i j @ !edges
+  let preds = Array.make n [] in
+  for j = 1 to n - 1 do
+    for i = j - 1 downto 0 do
+      let e_delta = delta ~chain infos.(i) infos.(j) in
+      if e_delta >= 0 then preds.(j) <- { e_src = i; e_delta } :: preds.(j)
     done
   done;
-  (infos, List.rev !edges)
-
-(* May the dependent op share a microinstruction with its source?
-
-   - WAR: the reader samples the phase-start state, so the writer may share
-     iff it commits in the reader's phase or later.
-   - RAW/WAW on registers: only by transport chaining (the producer's phase
-     strictly precedes the consumer's), and only when [chain] is enabled.
-   - flag and memory edges never share (conservative). *)
-let same_mi_ok ~chain infos e =
-  let a = infos.(e.e_src) and b = infos.(e.e_dst) in
-  match e.e_kind with
-  | War -> b.i_phase >= a.i_phase
-  | Flag_war -> b.i_phase >= a.i_phase
-  | Raw | Waw -> chain && a.i_phase < b.i_phase
-  | Flag_raw | Flag_waw | Mem -> false
-
-(* Minimum microinstruction distance implied by an edge. *)
-let min_delta ~chain infos e = if same_mi_ok ~chain infos e then 0 else 1
-
-(* Predecessor edge lists, indexed by destination op. *)
-let preds_by_dst n edges =
-  let preds = Array.make n [] in
-  List.iter (fun e -> preds.(e.e_dst) <- e :: preds.(e.e_dst)) edges;
-  preds
-
-let succs_by_src n edges =
-  let succs = Array.make n [] in
-  List.iter (fun e -> succs.(e.e_src) <- e :: succs.(e.e_src)) edges;
-  succs
-
-(* Length (in microinstructions) of the longest dependence chain starting
-   at each op: the list-scheduling priority and the B&B lower bound. *)
-let path_lengths ~chain infos edges =
-  let n = Array.length infos in
-  let succs = succs_by_src n edges in
-  let len = Array.make n 1 in
-  for i = n - 1 downto 0 do
+  (* Longest chain, in words, starting at each op.  Every successor of [j]
+     comes later in source order, so [j]'s length is final by the time it
+     is pushed back to [j]'s predecessors. *)
+  let paths = Array.make n 1 in
+  for j = n - 1 downto 0 do
     List.iter
-      (fun e ->
-        len.(i) <- max len.(i) (len.(e.e_dst) + min_delta ~chain infos e))
-      succs.(i)
+      (fun e -> paths.(e.e_src) <- max paths.(e.e_src) (paths.(j) + e.e_delta))
+      preds.(j)
   done;
-  len
-
-let critical_path ~chain infos edges =
-  Array.fold_left max 0 (path_lengths ~chain infos edges)
+  { g_preds = preds; g_paths = paths }
 
 (* -- dependence over MIR statements (single-identity order, F1) ---------- *)
 
-let stmt_edges (stmts : Mir.stmt list) =
-  let arr = Array.of_list stmts in
-  let n = Array.length arr in
-  let reads i = Mir.stmt_reads arr.(i) in
-  let writes i = Mir.stmt_writes arr.(i) in
-  let is_mem i =
-    match arr.(i) with
+(* The least level distance from statement [a] to a later statement [b]
+   under the single-identity order, or -1 when [b] does not depend on
+   [a].  Only a WAR dependence allows the same level (the write commits
+   after the read). *)
+let stmt_delta (a : Mir.stmt) (b : Mir.stmt) =
+  let is_mem = function
     | Mir.Store _ | Mir.Store_abs _ | Mir.Special _
     | Mir.Assign { rv = Mir.R_mem _; _ }
     | Mir.Assign { rv = Mir.R_mem_abs _; _ } ->
         true
     | Mir.Assign _ | Mir.Test _ | Mir.Intack -> false
   in
-  let sets_flags i =
-    match arr.(i) with
+  let sets_flags = function
     | Mir.Test _ | Mir.Special _ -> true  (* Special: conservative *)
     | Mir.Assign { set_flags; _ } -> set_flags
     | Mir.Store _ | Mir.Store_abs _ | Mir.Intack -> false
   in
-  let edges = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let e kind = edges := { e_src = i; e_dst = j; e_kind = kind } :: !edges in
-      if inter (writes i) (reads j) then e Raw;
-      if inter (reads i) (writes j) then e War;
-      if inter (writes i) (writes j) then e Waw;
-      if is_mem i && is_mem j then e Mem;
-      if sets_flags i && sets_flags j then e Flag_waw
-    done
-  done;
-  List.rev !edges
+  let wa = Mir.stmt_writes a and wb = Mir.stmt_writes b in
+  if
+    inter wa (Mir.stmt_reads b)
+    || inter wa wb
+    || (is_mem a && is_mem b)
+    || (sets_flags a && sets_flags b)
+  then 1
+  else if inter (Mir.stmt_reads a) wb then 0
+  else -1
 
 (* ASAP level of each statement under the single-identity partial order:
-   level 0 statements could all start together given unlimited resources.
-   WAR edges allow the same level (write commits after the read). *)
+   level 0 statements could all start together given unlimited resources. *)
 let stmt_levels stmts =
-  let n = List.length stmts in
-  let edges = stmt_edges stmts in
-  let level = Array.make n 0 in
-  List.iter
-    (fun e ->
-      let d = match e.e_kind with War | Flag_war -> 0 | _ -> 1 in
-      level.(e.e_dst) <- max level.(e.e_dst) (level.(e.e_src) + d))
-    edges;
+  let arr = Array.of_list stmts in
+  let level = Array.make (Array.length arr) 0 in
+  Array.iteri
+    (fun j b ->
+      for i = 0 to j - 1 do
+        let d = stmt_delta arr.(i) b in
+        if d >= 0 then level.(j) <- max level.(j) (level.(i) + d)
+      done)
+    arr;
   Array.to_list level
 
 (* Available parallelism measure used by experiment F1: statements divided

@@ -5,41 +5,27 @@
 
 open Msl_machine
 
-type ekind = Raw | War | Waw | Mem | Flag_raw | Flag_war | Flag_waw
-
-type edge = { e_src : int; e_dst : int; e_kind : ekind }
-(** Always [e_src < e_dst] in source order. *)
-
 (** {1 Over machine microoperations} *)
 
-type op_info = {
-  i_reads : int list;  (** register ids, sorted *)
-  i_writes : int list;
-  i_freads : int;  (** flag mask, bit {!Rtl.flag_index} per flag *)
-  i_fwrites : int;
-  i_mem : bool;
-  i_phase : int;
+type edge = { e_src : int; e_delta : int }
+(** An edge into an op from the earlier op [e_src]: the dependent op goes
+    at least [e_delta] words later.  [e_delta] is 0 when the two may
+    share a word: a WAR edge whose writer's phase is not earlier than the
+    reader's, or a register RAW/WAW by transport chaining (producer phase
+    strictly earlier, [chain] enabled); flag and memory dependences never
+    share.  One edge stands for every dependence between its two ops. *)
+
+type graph = {
+  g_preds : edge list array;  (** edges into each op, by op index *)
+  g_paths : int array;
+      (** longest dependence chain (in words) starting at each op: the
+          list-scheduling priority and the branch-and-bound lower bound *)
 }
+(** The dependence graph of a straight-line block. *)
 
-val build : Desc.t -> Inst.op array -> op_info array * edge list
-(** All dependence edges of a straight-line block. *)
-
-val same_mi_ok : chain:bool -> op_info array -> edge -> bool
-(** May the dependent op share a microinstruction with its source?  WAR
-    edges share when the writer's phase is not earlier than the reader's;
-    RAW/WAW only by transport chaining (producer phase strictly earlier,
-    [chain] enabled); flag and memory edges never share. *)
-
-val min_delta : chain:bool -> op_info array -> edge -> int
-(** 0 when sharing is allowed, else 1 (strictly later word). *)
-
-val preds_by_dst : int -> edge list -> edge list array
-
-val path_lengths : chain:bool -> op_info array -> edge list -> int array
-(** Longest dependence chain (in words) starting at each op: the
-    list-scheduling priority and the branch-and-bound lower bound. *)
-
-val critical_path : chain:bool -> op_info array -> edge list -> int
+val graph : chain:bool -> Desc.t -> Inst.op array -> graph
+(** Built once per block, under [chain]; raises [Invalid_argument] on an
+    op of another machine. *)
 
 (** {1 Over MIR statements (the single-identity order)} *)
 

@@ -53,13 +53,18 @@ let options_id (o : options) =
         bb_budget; superopt } =
     o
   in
-  Printf.sprintf
-    "algo=%s;chain=%b;strategy=%s;pool=%s;poll=%b;trap_safe=%b;opt=%d;bb=%d;\
-     superopt=%b"
-    (Compaction.algo_name algo) chain
-    (Regalloc.strategy_name strategy)
-    (match pool_limit with None -> "all" | Some n -> string_of_int n)
-    poll trap_safe opt_level bb_budget superopt
+  String.concat ""
+    [
+      "algo="; Compaction.algo_name algo;
+      ";chain="; string_of_bool chain;
+      ";strategy="; Regalloc.strategy_name strategy;
+      ";pool="; (match pool_limit with None -> "all" | Some n -> string_of_int n);
+      ";poll="; string_of_bool poll;
+      ";trap_safe="; string_of_bool trap_safe;
+      ";opt="; string_of_int opt_level;
+      ";bb="; string_of_int bb_budget;
+      ";superopt="; string_of_bool superopt;
+    ]
 
 type metrics = {
   m_instructions : int;  (* control-store words used *)

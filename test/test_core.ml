@@ -189,18 +189,43 @@ let test_t3_shape () =
   | _ -> Alcotest.fail "expected two T3 rows"
 
 let test_t4_shape () =
-  List.iter
-    (fun r ->
+  (* The exact table: (machine, ops, dep%), words by sequential, fcfs,
+     critical-path and branch-and-bound, then B&B nodes and exactness.
+     The node counts pin the search's pruning, not just its answers. *)
+  let expected =
+    [
+      (("HP3", 8, 30), (8, 6, 6, 6), (6115, true));
+      (("HP3", 16, 30), (16, 9, 9, 9), (300000, false));
+      (("HP3", 16, 60), (16, 10, 10, 10), (300000, false));
+      (("H1", 12, 30), (12, 6, 5, 5), (1, true));
+      (("H1", 12, 60), (12, 9, 9, 9), (4843, true));
+      (("HP3", 28, 40), (28, 16, 16, 16), (300000, false));
+    ]
+  in
+  let rows = Core.Experiments.t4_rows () in
+  check_int "row count" (List.length expected) (List.length rows);
+  List.iter2
+    (fun ((m, n, p), (seq', fcfs', cp', opt'), (nodes, exact)) r ->
+      let what = Printf.sprintf "%s %d ops %d%%" m n p in
       let w a = List.assoc a r.Core.Experiments.t4_words in
       let seq = w Compaction.Sequential in
       let fcfs = w Compaction.Fcfs in
       let cp = w Compaction.Critical_path in
       let opt = w Compaction.Optimal in
+      check_bool (what ^ ": case") true
+        ((r.Core.Experiments.t4_machine, r.Core.Experiments.t4_n,
+          r.Core.Experiments.t4_pdep) = (m, n, p));
+      check_int (what ^ ": sequential") seq' seq;
+      check_int (what ^ ": fcfs") fcfs' fcfs;
+      check_int (what ^ ": critical-path") cp' cp;
+      check_int (what ^ ": optimal") opt' opt;
+      check_int (what ^ ": B&B nodes") nodes r.Core.Experiments.t4_nodes;
+      check_bool (what ^ ": exact") exact r.Core.Experiments.t4_exact;
       check_bool "fcfs <= seq" true (fcfs <= seq);
       check_bool "opt <= cp" true (opt <= cp);
       check_bool "opt <= fcfs" true (opt <= fcfs);
       check_bool "some packing" true (cp < seq))
-    (Core.Experiments.t4_rows ())
+    expected rows
 
 let test_t5_shape () =
   (* The exact table, (registers, spilled/traffic first-fit, then

@@ -145,8 +145,7 @@ let test_compaction_vertical_forced () =
 let naive_fcfs ~chain d ops =
   let arr = Array.of_list ops in
   let n = Array.length arr in
-  let infos, edges = Dataflow.build d arr in
-  let preds = Dataflow.preds_by_dst n edges in
+  let preds = (Dataflow.graph ~chain d arr).Dataflow.g_preds in
   let place = Array.make n (-1) in
   let mis : Inst.op list array ref = ref (Array.make 0 []) in
   let count = ref 0 in
@@ -162,13 +161,12 @@ let naive_fcfs ~chain d ops =
     let earliest =
       List.fold_left
         (fun acc e ->
-          max acc (place.(e.Dataflow.e_src) + Dataflow.min_delta ~chain infos e))
+          max acc (place.(e.Dataflow.e_src) + e.Dataflow.e_delta))
         0 preds.(j)
     in
     let fits k =
       List.for_all
-        (fun e ->
-          place.(e.Dataflow.e_src) <> k || Dataflow.same_mi_ok ~chain infos e)
+        (fun e -> place.(e.Dataflow.e_src) <> k || e.Dataflow.e_delta = 0)
         preds.(j)
       && Conflict.fits d !mis.(k) arr.(j) = Ok ()
     in
@@ -181,8 +179,57 @@ let naive_fcfs ~chain d ops =
   done;
   Array.to_list (Array.sub !mis 0 !count)
 
-let test_fcfs_matches_naive_reference () =
-  let machines = [ Machines.hp3; Machines.h1; Machines.b17 ] in
+(* the critical-path list scheduler as it was first written: after each
+   placed op, recompute every ready op, sort by descending priority then
+   source order, take the first that fits.  The scheduler sorts once and
+   scans; it must pick the same schedule. *)
+let naive_critical_path ~chain d ops =
+  let arr = Array.of_list ops in
+  let n = Array.length arr in
+  let g = Dataflow.graph ~chain d arr in
+  let prio = g.Dataflow.g_paths in
+  let place = Array.make n (-1) in
+  let scheduled = ref 0 in
+  let groups = ref [] in
+  let k = ref 0 in
+  while !scheduled < n do
+    let current = ref [] in
+    let progress = ref true in
+    while !progress do
+      progress := false;
+      let candidates =
+        List.init n Fun.id
+        |> List.filter (fun j ->
+               place.(j) = -1
+               && List.for_all
+                    (fun e ->
+                      let p = place.(e.Dataflow.e_src) in
+                      p <> -1
+                      && p + e.Dataflow.e_delta <= !k
+                      && (p <> !k || e.Dataflow.e_delta = 0))
+                    g.Dataflow.g_preds.(j))
+        |> List.sort (fun a b ->
+               match compare prio.(b) prio.(a) with 0 -> compare a b | c -> c)
+      in
+      match
+        List.find_opt (fun j -> Conflict.fits d !current arr.(j) = Ok ()) candidates
+      with
+      | Some j ->
+          current := !current @ [ arr.(j) ];
+          place.(j) <- !k;
+          incr scheduled;
+          progress := true
+      | None -> ()
+    done;
+    if !current = [] then Alcotest.fail "reference list scheduler wedged";
+    groups := !current :: !groups;
+    incr k
+  done;
+  List.rev !groups
+
+(* seeded blocks over three [machines], chaining on and off: [algo]'s
+   schedule is structurally identical to [reference]'s *)
+let matches_reference machines algo reference () =
   List.iter
     (fun seed ->
       let d = List.nth machines (seed mod 3) in
@@ -191,19 +238,26 @@ let test_fcfs_matches_naive_reference () =
       let ops = Msl_core.Workloads.compaction_block d ~seed ~n ~p_dep in
       List.iter
         (fun chain ->
-          let fast =
-            (Compaction.compact ~chain ~algo:Compaction.Fcfs d ops)
-              .Compaction.groups
-          in
-          let naive =
-            naive_fcfs ~chain d ops |> List.filter (fun g -> g <> [])
-          in
+          let fast = (Compaction.compact ~chain ~algo d ops).Compaction.groups in
+          let naive = reference ~chain d ops |> List.filter (fun g -> g <> []) in
           check_bool
             (Printf.sprintf "seed %d %s chain=%b identical schedule" seed
                d.Desc.d_name chain)
             true (fast = naive))
         [ true; false ])
     (List.init 40 (fun i -> i + 1))
+
+let test_fcfs_matches_naive_reference =
+  matches_reference
+    [ Machines.hp3; Machines.h1; Machines.b17 ]
+    Compaction.Fcfs naive_fcfs
+
+(* B17 is vertical, so [compact] packs it sequentially whatever the
+   algorithm; V11 is the third horizontal machine *)
+let test_critical_path_matches_naive_reference =
+  matches_reference
+    [ Machines.hp3; Machines.h1; Machines.v11 ]
+    Compaction.Critical_path naive_critical_path
 
 (* regression for the branch-and-bound node accounting: the reported
    node count can never exceed the budget, even when exhausted. *)
@@ -740,6 +794,8 @@ let () =
             test_compaction_vertical_forced;
           Alcotest.test_case "fcfs matches naive reference" `Quick
             test_fcfs_matches_naive_reference;
+          Alcotest.test_case "critical-path matches naive reference" `Quick
+            test_critical_path_matches_naive_reference;
           Alcotest.test_case "bb node accounting" `Quick
             test_optimal_budget_accounting;
           Alcotest.test_case "transport chaining" `Quick

@@ -747,6 +747,26 @@ let test_same_name_distinct_machines () =
    newly added fields. *)
 let test_options_key_exhaustive () =
   let base = Pipeline.default_options in
+  (* the id is in every cache key and disk header: its text is pinned *)
+  Alcotest.(check string) "default options id"
+    "algo=critical-path;chain=true;strategy=priority;pool=all;poll=false;\
+     trap_safe=false;opt=1;bb=300000;superopt=false"
+    (Pipeline.options_id base);
+  Alcotest.(check string) "every field off its default"
+    "algo=branch-and-bound;chain=false;strategy=first-fit;pool=4;poll=true;\
+     trap_safe=true;opt=2;bb=7;superopt=true"
+    (Pipeline.options_id
+       {
+         Pipeline.algo = Compaction.Optimal;
+         chain = false;
+         strategy = Msl_mir.Regalloc.First_fit;
+         pool_limit = Some 4;
+         poll = true;
+         trap_safe = true;
+         opt_level = 2;
+         bb_budget = 7;
+         superopt = true;
+       });
   let variants =
     [
       ("default", base);

@@ -242,8 +242,8 @@ let test_bound_admissible () =
 let test_clique_bound () =
   let ops = [ mov "R1" "R2"; mov "R3" "R4" ] in
   let chain = Pipeline.default_options.Pipeline.chain in
-  let infos, edges = Dataflow.build hp3 (Array.of_list ops) in
-  check_int "chain bound" 1 (Dataflow.critical_path ~chain infos edges);
+  let g = Dataflow.graph ~chain hp3 (Array.of_list ops) in
+  check_int "chain bound" 1 (Array.fold_left max 0 g.Dataflow.g_paths);
   check_int "clique bound" 2 (Compaction.lower_bound ~chain hp3 ops);
   let blocks =
     [ ("entry",
